@@ -25,6 +25,10 @@ val binop : Src_type.t -> Op.binop -> t -> t -> t
 
 val unop : Src_type.t -> Op.unop -> t -> t
 
+(** The mask [binop] applies to a shift amount at the given integer type:
+    bit width minus one. *)
+val shift_mask : Src_type.t -> int
+
 (** C truthiness. *)
 val is_true : t -> bool
 

@@ -66,7 +66,7 @@ let effective st (a : Minstr.addr) =
   in
   sym + base + index + a.Minstr.disp
 
-let check_bounds st addr bytes what =
+let[@inline] check_bounds st addr bytes what =
   if addr < 0 || addr + bytes > Bytes.length st.mem then
     faultf "%s at address %d (+%d) out of memory" what addr bytes
 
@@ -114,9 +114,7 @@ let vstore st kind ty a v =
     match kind with
     | Minstr.VM_aligned ->
       if ea mod vs <> 0 then
-        if st.target.Target.explicit_realign then
-          faultf "aligned vector store to misaligned address %d" ea
-        else faultf "aligned vector store to misaligned address %d" ea
+        faultf "aligned vector store to misaligned address %d" ea
       else ea
     | Minstr.VM_misaligned -> ea
   in
@@ -459,12 +457,14 @@ let run ?(fuel = 200_000_000) (target : Target.t) (layout : Layout.t)
    [prepare] does once, at JIT-compile time, everything [run] re-derives
    on every invocation: label -> pc resolution, per-pc cycle costs (with
    the x87 blending), parameter-binding closures, and symbol interning
-   for effective addresses.  The common scalar instructions additionally
-   compile to specialized closures that work on the raw register arrays;
-   everything else falls back to [exec] on the same state, so a plan is
-   cycle-, instruction-, fault- and bit-exact against [run] by
-   construction.  [run_plan] reuses one scratch state per plan — zero
-   per-run setup allocation. *)
+   for effective addresses.  Every instruction then compiles to a closure
+   over the raw register arrays, but only the mix the workloads actually
+   run is specialized (docs/PERF.md §2 has the measured mix): scalar,
+   control and spill instructions directly, vector instructions through
+   the lane combinators below.  Everything else runs [exec] on the same
+   state, so a plan is cycle-, instruction-, fault- and bit-exact against
+   [run].  [run_plan] reuses one scratch state per plan — zero per-run
+   setup allocation. *)
 
 type plan = {
   p_target : Target.t;
@@ -491,6 +491,148 @@ let rec addr_syms (i : Minstr.t) : string list =
     if a.Minstr.sym = "" then [] else [ a.Minstr.sym ]
   | Minstr.Lib inner -> addr_syms inner
   | _ -> []
+
+(* --- lane arithmetic ------------------------------------------------------
+   Each function below reproduces a [Value] or [Layout] operation on raw
+   ints and floats, so plan closures never build a [Value.t]. *)
+
+(* (mask, sign-bit) pair such that [Src_type.normalize_int ty v] equals
+   [norm nm ns v]: ns = 0 for unsigned types, and i64 keeps every bit via
+   nm = -1.  Lane loops apply it inline — a per-lane call into Src_type
+   would cost a call and a type dispatch on each of the 8-16 lanes of the
+   narrow integer kernels. *)
+let norm_consts ty =
+  match ty with
+  | Src_type.I8 -> 0xff, 0x80
+  | Src_type.U8 -> 0xff, 0
+  | Src_type.I16 -> 0xffff, 0x8000
+  | Src_type.U16 -> 0xffff, 0
+  | Src_type.I32 -> 0xffffffff, 0x80000000
+  | Src_type.U32 -> 0xffffffff, 0
+  | Src_type.I64 -> -1, 0
+  | Src_type.F32 | Src_type.F64 ->
+    invalid_arg "Simulator.norm_consts: float type"
+
+let[@inline] norm nm ns v =
+  let x = v land nm in
+  if x land ns <> 0 then x - nm - 1 else x
+
+(* [Src_type.normalize_float] at F32 ([n32]) or F64. *)
+let[@inline] round n32 x =
+  if n32 then Int32.float_of_bits (Int32.bits_of_float x) else x
+
+(* [Value.binop] at integer type [ty], before normalizing the result
+   (comparisons yield 0/1, which every normalization leaves alone).  Ints
+   cross a closure unboxed, so the op is chosen once per instruction. *)
+let int_binop (op : Op.binop) ty : int -> int -> int =
+  let mask = Value.shift_mask ty in
+  match op with
+  | Op.Add -> ( + )
+  | Op.Sub -> ( - )
+  | Op.Mul -> ( * )
+  | Op.Div -> fun x y -> if y = 0 then raise Division_by_zero else x / y
+  | Op.Min -> fun x y -> if x <= y then x else y
+  | Op.Max -> fun x y -> if x >= y then x else y
+  | Op.And -> ( land )
+  | Op.Or -> ( lor )
+  | Op.Xor -> ( lxor )
+  | Op.Shl -> fun x y -> x lsl (y land mask)
+  | Op.Shr -> fun x y -> x asr (y land mask)
+  | Op.Eq -> fun x y -> Bool.to_int (x = y)
+  | Op.Ne -> fun x y -> Bool.to_int (x <> y)
+  | Op.Lt -> fun x y -> Bool.to_int (x < y)
+  | Op.Le -> fun x y -> Bool.to_int (x <= y)
+  | Op.Gt -> fun x y -> Bool.to_int (x > y)
+  | Op.Ge -> fun x y -> Bool.to_int (x >= y)
+
+(* [Value.unop] at an integer type, before normalizing, shaped as a
+   binary op that ignores its second operand so it fits [int_lanes];
+   [None] where [Value.unop] rejects the op. *)
+let int_unop (op : Op.unop) : (int -> int -> int) option =
+  match op with
+  | Op.Neg -> Some (fun x _ -> -x)
+  | Op.Abs -> Some (fun x _ -> abs x)
+  | Op.Not -> Some (fun x _ -> lnot x)
+  | Op.Sqrt -> None
+
+(* [Value.binop] at F32 ([n32]) or F64, comparisons as the 1.0/0.0 a float
+   register or lane ends up holding.  Bitwise ops are never prepared: they
+   run [exec], which rejects them.  Unlike the int ops this is a [match]
+   inlined into each loop, never a closure: through a closure every lane
+   would box its operands and result. *)
+let[@inline] float_binop (op : Op.binop) n32 x y =
+  match op with
+  | Op.Add -> round n32 (x +. y)
+  | Op.Sub -> round n32 (x -. y)
+  | Op.Mul -> round n32 (x *. y)
+  | Op.Div -> round n32 (x /. y)
+  | Op.Min -> round n32 (Float.min x y)
+  | Op.Max -> round n32 (Float.max x y)
+  | Op.Eq -> if x = y then 1.0 else 0.0
+  | Op.Ne -> if x <> y then 1.0 else 0.0
+  | Op.Lt -> if x < y then 1.0 else 0.0
+  | Op.Le -> if x <= y then 1.0 else 0.0
+  | Op.Gt -> if x > y then 1.0 else 0.0
+  | Op.Ge -> if x >= y then 1.0 else 0.0
+  | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr -> Float.nan
+
+(* Lane reads and writes in [Layout]'s byte formats. *)
+let[@inline] read_int esize mem a =
+  match esize with
+  | 1 -> Bytes.get_uint8 mem a
+  | 2 -> Bytes.get_uint16_le mem a
+  | 4 -> Int32.to_int (Bytes.get_int32_le mem a)
+  | _ -> Int64.to_int (Bytes.get_int64_le mem a)
+
+let[@inline] write_int esize mem a x =
+  match esize with
+  | 1 -> Bytes.set_uint8 mem a (x land 0xff)
+  | 2 -> Bytes.set_uint16_le mem a (x land 0xffff)
+  | 4 -> Bytes.set_int32_le mem a (Int32.of_int x)
+  | _ -> Bytes.set_int64_le mem a (Int64.of_int x)
+
+let[@inline] read_float n32 mem a =
+  if n32 then Int32.float_of_bits (Bytes.get_int32_le mem a)
+  else Int64.float_of_bits (Bytes.get_int64_le mem a)
+
+let[@inline] write_float n32 mem a x =
+  if n32 then Bytes.set_int32_le mem a (Int32.bits_of_float x)
+  else Bytes.set_int64_le mem a (Int64.bits_of_float x)
+
+(* The int lanewise loop (Vop, Vunop, Vshift, the widening products):
+   lane l is [f x y] for the normalized lanes x of [a] and y of [b],
+   normalized. *)
+let int_lanes m nm ns f a b =
+  let r = Array.make m 0 in
+  for l = 0 to m - 1 do
+    r.(l) <- norm nm ns (f (norm nm ns a.(l)) (norm nm ns b.(l)))
+  done;
+  r
+
+(* The int reduction: [f] folded left over the normalized lanes. *)
+let int_reduce m nm ns f a =
+  let acc = ref (norm nm ns a.(0)) in
+  for l = 1 to m - 1 do
+    acc := norm nm ns (f !acc (norm nm ns a.(l)))
+  done;
+  !acc
+
+(* The gather loop (Vunpack, Vpack, Vcvt, Vextract, Vinsert, the widening
+   products): lane l of [r] is lane [si.(l)] of source [ps.(sj.(l))],
+   normalized at the source type [(nm, ns)] and renormalized to the
+   destination type [(dm, ds)], exactly as [Value.convert] narrows or
+   widens.  Returns [r]. *)
+let gather (nm, ns) (dm, ds) (sj, si) (ps : int array array) r =
+  for l = 0 to Array.length sj - 1 do
+    r.(l) <- norm dm ds (norm nm ns ps.(sj.(l)).(si.(l)))
+  done;
+  r
+
+(* Gather map for the [count] lanes [first + l * stride] of the
+   concatenated [m]-lane sources numbered from [src]. *)
+let lane_map ?(src = 0) ?(first = 0) ?(stride = 1) m count =
+  let p l = first + (l * stride) in
+  Array.init count (fun l -> src + (p l / m)), Array.init count (fun l -> p l mod m)
 
 let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   let stage_t0 = Vapor_obs.Stage.start () in
@@ -565,37 +707,47 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         fun st -> sym_fn st + st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
     end
   in
-  let mem_len st = Bytes.length st.mem in
   let vs = target.Target.vs in
   let lanes_of ty = max 1 (vs / Src_type.size_of ty) in
   let explicit_realign = target.Target.explicit_realign in
-  (* (mask, sign-bit) pair such that [Src_type.normalize_int ty v] equals
-     [let x = v land nm in if x land ns <> 0 then x - nm - 1 else x]:
-     ns = 0 for unsigned types, and i64 keeps every bit via nm = -1.
-     Lane loops write the normalization inline from these constants — a
-     per-lane call into Src_type would cost a call and a type dispatch on
-     each of the 8-16 lanes of the narrow integer kernels. *)
-  let norm_consts ty =
-    match ty with
-    | Src_type.I8 -> 0xff, 0x80
-    | Src_type.U8 -> 0xff, 0
-    | Src_type.I16 -> 0xffff, 0x8000
-    | Src_type.U16 -> 0xffff, 0
-    | Src_type.I32 -> 0xffffffff, 0x80000000
-    | Src_type.U32 -> 0xffffffff, 0
-    | Src_type.I64 -> -1, 0
-    | Src_type.F32 | Src_type.F64 ->
-      invalid_arg "Simulator.norm_consts: float type"
-  in
-  (* Specialized actions for the scalar-dominant instruction set; every
-     fast path reproduces exec's semantics (normalization, raw register
-     reads, fault messages) expression for expression.  [next] is pc+1.
-     Vector actions additionally dispatch on the runtime representation:
-     a register holding the expected kind runs an unboxed lane loop, any
-     other shape falls back to [exec] so mismatch faults stay identical. *)
+  (* Every action reproduces exec's semantics (normalization, raw register
+     reads, fault messages) expression for expression.  [next] is pc+1. *)
   let rec compile_action pc (ins : Minstr.t) : state -> int =
     let next = pc + 1 in
-    let fallback ins = fun st -> exec st ins; next in
+    let fallback st = exec st ins; next in
+    (* The int-lane combinator: [body st ps] runs on [ps], the lanes of the
+       vector registers [srcs].  Their shape is checked here, once: a
+       register holding anything but int lanes (undefined, float) runs
+       [exec] instead, so the fault or result is the reference's own. *)
+    let ints srcs (body : state -> int array array -> unit) =
+      (* one and two sources, the common case, skip the array fill *)
+      match List.map reg_index srcs with
+      | [ a ] ->
+        fun st ->
+          (match st.vr.(a) with
+          | VInt x -> body st [| x |]
+          | VFloat _ | VUndef -> exec st ins);
+          next
+      | [ a; b ] ->
+        fun st ->
+          (match st.vr.(a), st.vr.(b) with
+          | VInt x, VInt y -> body st [| x; y |]
+          | _, _ -> exec st ins);
+          next
+      | srcs ->
+        let srcs = Array.of_list srcs in
+        let k = Array.length srcs in
+        fun st ->
+          let ps = Array.make k [||] in
+          let ok = ref true in
+          for j = 0 to k - 1 do
+            match st.vr.(srcs.(j)) with
+            | VInt x -> ps.(j) <- x
+            | VFloat _ | VUndef -> ok := false
+          done;
+          if !ok then body st ps else exec st ins;
+          next
+    in
     match ins with
     | Minstr.Label _ -> fun _ -> next
     | Minstr.Jmp l -> (
@@ -605,8 +757,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
     | Minstr.Br (op, a, b, l) -> (
       let ia = reg_index a and ib = reg_index b in
       let target_pc = Hashtbl.find_opt labels l in
-      let goto st taken =
-        ignore st;
+      let goto taken =
         if taken then
           match target_pc with
           | Some t -> t
@@ -616,19 +767,15 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       (* Br compares at I64, where normalization is the identity: the six
          comparisons reduce to raw integer compares. *)
       match op with
-      | Op.Eq -> fun st -> goto st (st.gpr.(ia) = st.gpr.(ib))
-      | Op.Ne -> fun st -> goto st (st.gpr.(ia) <> st.gpr.(ib))
-      | Op.Lt -> fun st -> goto st (st.gpr.(ia) < st.gpr.(ib))
-      | Op.Le -> fun st -> goto st (st.gpr.(ia) <= st.gpr.(ib))
-      | Op.Gt -> fun st -> goto st (st.gpr.(ia) > st.gpr.(ib))
-      | Op.Ge -> fun st -> goto st (st.gpr.(ia) >= st.gpr.(ib))
+      | Op.Eq -> fun st -> goto (st.gpr.(ia) = st.gpr.(ib))
+      | Op.Ne -> fun st -> goto (st.gpr.(ia) <> st.gpr.(ib))
+      | Op.Lt -> fun st -> goto (st.gpr.(ia) < st.gpr.(ib))
+      | Op.Le -> fun st -> goto (st.gpr.(ia) <= st.gpr.(ib))
+      | Op.Gt -> fun st -> goto (st.gpr.(ia) > st.gpr.(ib))
+      | Op.Ge -> fun st -> goto (st.gpr.(ia) >= st.gpr.(ib))
       | _ ->
-        fun st ->
-          goto st
-            (Value.is_true
-               (Value.binop Src_type.I64 op
-                  (Value.Int st.gpr.(ia))
-                  (Value.Int st.gpr.(ib)))))
+        let f = int_binop op Src_type.I64 in
+        fun st -> goto (f st.gpr.(ia) st.gpr.(ib) <> 0))
     | Minstr.Li (d, v) ->
       let id = reg_index d in
       fun st -> st.gpr.(id) <- v; next
@@ -646,164 +793,24 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
           | VUndef -> faultf "use of undefined vector register v%d" is
           | v -> st.vr.(id) <- v);
           next)
-    | Minstr.Cmov (d, c, a, b) -> (
-      let id = reg_index d and ic = reg_index c in
-      let ia = reg_index a and ib = reg_index b in
-      match d.Minstr.cls with
-      | Minstr.GPR ->
-        fun st ->
-          st.gpr.(id) <- st.gpr.(if st.gpr.(ic) <> 0 then ia else ib);
-          next
-      | Minstr.FPR ->
-        fun st ->
-          st.fpr.(id) <- st.fpr.(if st.gpr.(ic) <> 0 then ia else ib);
-          next
-      | Minstr.VR ->
-        fun st ->
-          let is = if st.gpr.(ic) <> 0 then ia else ib in
-          (match st.vr.(is) with
-          | VUndef -> faultf "use of undefined vector register v%d" is
-          | v -> st.vr.(id) <- v);
-          next)
     | Minstr.Lea (d, a) ->
       let id = reg_index d in
       let ea = compile_addr a in
       fun st -> st.gpr.(id) <- ea st; next
-    | Minstr.Sop (op, ty, d, a, b) when not (Src_type.is_float ty) -> (
+    | Minstr.Sop (op, ty, d, a, b) when not (Src_type.is_float ty) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let nz i = Src_type.normalize_int ty i in
-      let mask = (Src_type.size_of ty * 8) - 1 in
-      match op with
-      | Op.Add -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) + st.gpr.(ib)); next
-      | Op.Sub -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) - st.gpr.(ib)); next
-      | Op.Mul -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) * st.gpr.(ib)); next
-      | Op.Div ->
-        fun st ->
-          let y = st.gpr.(ib) in
-          if y = 0 then raise Division_by_zero
-          else st.gpr.(id) <- nz (st.gpr.(ia) / y);
-          next
-      | Op.Min -> fun st -> st.gpr.(id) <- nz (min st.gpr.(ia) st.gpr.(ib)); next
-      | Op.Max -> fun st -> st.gpr.(id) <- nz (max st.gpr.(ia) st.gpr.(ib)); next
-      | Op.And -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) land st.gpr.(ib)); next
-      | Op.Or -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) lor st.gpr.(ib)); next
-      | Op.Xor -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) lxor st.gpr.(ib)); next
-      | Op.Shl ->
-        fun st ->
-          st.gpr.(id) <- nz (st.gpr.(ia) lsl (st.gpr.(ib) land mask));
-          next
-      | Op.Shr ->
-        fun st ->
-          st.gpr.(id) <- nz (st.gpr.(ia) asr (st.gpr.(ib) land mask));
-          next
-      (* Comparisons store the raw 0/1 (Value.binop does not normalize
-         comparison results). *)
-      | Op.Eq -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) = st.gpr.(ib) then 1 else 0); next
-      | Op.Ne -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <> st.gpr.(ib) then 1 else 0); next
-      | Op.Lt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) < st.gpr.(ib) then 1 else 0); next
-      | Op.Le -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <= st.gpr.(ib) then 1 else 0); next
-      | Op.Gt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) > st.gpr.(ib) then 1 else 0); next
-      | Op.Ge -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) >= st.gpr.(ib) then 1 else 0); next)
-    | Minstr.Sop (op, ty, d, a, b) -> (
-      (* float scalar ops; comparisons land 1.0/0.0 in the FPR via
-         set_scalar's to_float on Value.Int. *)
+      let nm, ns = norm_consts ty and f = int_binop op ty in
+      fun st -> st.gpr.(id) <- norm nm ns (f st.gpr.(ia) st.gpr.(ib)); next
+    | Minstr.Sop (op, ty, d, a, b) when not (Op.is_bitwise op) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       let n32 = ty = Src_type.F32 in
-      match op with
-      | Op.Add ->
-        fun st ->
-          let z = st.fpr.(ia) +. st.fpr.(ib) in
-          st.fpr.(id) <-
-            (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Sub ->
-        fun st ->
-          let z = st.fpr.(ia) -. st.fpr.(ib) in
-          st.fpr.(id) <-
-            (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Mul ->
-        fun st ->
-          let z = st.fpr.(ia) *. st.fpr.(ib) in
-          st.fpr.(id) <-
-            (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Div ->
-        fun st ->
-          let z = st.fpr.(ia) /. st.fpr.(ib) in
-          st.fpr.(id) <-
-            (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Min ->
-        fun st ->
-          let z = Float.min st.fpr.(ia) st.fpr.(ib) in
-          st.fpr.(id) <-
-            (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Max ->
-        fun st ->
-          let z = Float.max st.fpr.(ia) st.fpr.(ib) in
-          st.fpr.(id) <-
-            (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Eq -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) = st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Ne -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) <> st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Lt -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) < st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Le -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) <= st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Gt -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) > st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Ge -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) >= st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr -> fallback ins)
-    | Minstr.Sunop (op, ty, d, s) -> (
+      fun st -> st.fpr.(id) <- float_binop op n32 st.fpr.(ia) st.fpr.(ib); next
+    | Minstr.Sunop (op, ty, d, s) when not (Src_type.is_float ty) -> (
       let id = reg_index d and is = reg_index s in
-      if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
-        match op with
-        | Op.Neg ->
-          fun st ->
-            let z = -.st.fpr.(is) in
-            st.fpr.(id) <-
-              (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-            next
-        | Op.Abs ->
-          fun st ->
-            let z = Float.abs st.fpr.(is) in
-            st.fpr.(id) <-
-              (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-            next
-        | Op.Sqrt ->
-          fun st ->
-            let z = Float.sqrt st.fpr.(is) in
-            st.fpr.(id) <-
-              (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-            next
-        | Op.Not -> fallback ins
-      else
-        let nz i = Src_type.normalize_int ty i in
-        match op with
-        | Op.Neg -> fun st -> st.gpr.(id) <- nz (-st.gpr.(is)); next
-        | Op.Abs -> fun st -> st.gpr.(id) <- nz (abs st.gpr.(is)); next
-        | Op.Not -> fun st -> st.gpr.(id) <- nz (lnot st.gpr.(is)); next
-        | Op.Sqrt -> fallback ins)
-    | Minstr.Scmp (op, ty, d, a, b) when Op.is_comparison op -> (
-      let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      if Src_type.is_float ty then
-        match op with
-        | Op.Eq -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) = st.fpr.(ib) then 1 else 0); next
-        | Op.Ne -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) <> st.fpr.(ib) then 1 else 0); next
-        | Op.Lt -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) < st.fpr.(ib) then 1 else 0); next
-        | Op.Le -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) <= st.fpr.(ib) then 1 else 0); next
-        | Op.Gt -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) > st.fpr.(ib) then 1 else 0); next
-        | Op.Ge -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) >= st.fpr.(ib) then 1 else 0); next
-        | _ -> fallback ins
-      else
-        match op with
-        | Op.Eq -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) = st.gpr.(ib) then 1 else 0); next
-        | Op.Ne -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <> st.gpr.(ib) then 1 else 0); next
-        | Op.Lt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) < st.gpr.(ib) then 1 else 0); next
-        | Op.Le -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <= st.gpr.(ib) then 1 else 0); next
-        | Op.Gt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) > st.gpr.(ib) then 1 else 0); next
-        | Op.Ge -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) >= st.gpr.(ib) then 1 else 0); next
-        | _ -> fallback ins)
+      let nm, ns = norm_consts ty in
+      match int_unop op with
+      | Some g -> fun st -> st.gpr.(id) <- norm nm ns (g st.gpr.(is) 0); next
+      | None -> fallback)
     | Minstr.Cvt (t1, t2, d, s) -> (
       let id = reg_index d and is = reg_index s in
       match Src_type.is_float t1, Src_type.is_float t2 with
@@ -822,125 +829,56 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       | false, false ->
         fun st -> st.gpr.(id) <- Src_type.normalize_int t2 st.gpr.(is); next)
     | Minstr.Load (ty, d, a) -> (
-      let id = reg_index d in
-      let ea = compile_addr a in
+      (* Unboxed reads, same byte formats as [Layout.read_value]; i64 (the
+         spill width) is the hottest instruction of all. *)
+      let id = reg_index d and ea = compile_addr a in
       let sz = Src_type.size_of ty in
-      (* Unboxed per-type reads, same byte formats as [Layout.read_value]. *)
       match ty with
-      | Src_type.I8 ->
+      | Src_type.F32 | Src_type.F64 ->
+        let n32 = ty = Src_type.F32 in
         fun st ->
           let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <-
-            Src_type.normalize_int Src_type.I8 (Bytes.get_uint8 st.mem addr);
+          check_bounds st addr sz "load";
+          st.fpr.(id) <- read_float n32 st.mem addr;
           next
-      | Src_type.U8 ->
+      | Src_type.I64 ->
         fun st ->
           let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <- Bytes.get_uint8 st.mem addr;
+          check_bounds st addr sz "load";
+          st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
           next
-      | Src_type.I16 ->
+      | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
+      | Src_type.U32 ->
+        let nm, ns = norm_consts ty in
         fun st ->
           let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <-
-            Src_type.normalize_int Src_type.I16
-              (Bytes.get_uint16_le st.mem addr);
-          next
-      | Src_type.U16 ->
+          check_bounds st addr sz "load";
+          st.gpr.(id) <- norm nm ns (read_int sz st.mem addr);
+          next)
+    | Minstr.Store (ty, a, s) -> (
+      (* Unboxed writes, same byte formats as [Layout.write_value]. *)
+      let is = reg_index s and ea = compile_addr a in
+      let sz = Src_type.size_of ty in
+      match ty with
+      | Src_type.F32 | Src_type.F64 ->
+        let n32 = ty = Src_type.F32 in
         fun st ->
           let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <- Bytes.get_uint16_le st.mem addr;
+          check_bounds st addr sz "store";
+          write_float n32 st.mem addr st.fpr.(is);
           next
-      | Src_type.I32 ->
+      | Src_type.I64 ->
         fun st ->
           let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <- Int32.to_int (Bytes.get_int32_le st.mem addr);
+          check_bounds st addr sz "store";
+          Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
           next
+      | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
       | Src_type.U32 ->
         fun st ->
           let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <-
-            Int32.to_int (Bytes.get_int32_le st.mem addr) land 0xffffffff;
-          next
-      | Src_type.I64 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
-          next
-      | Src_type.F32 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.fpr.(id) <- Int32.float_of_bits (Bytes.get_int32_le st.mem addr);
-          next
-      | Src_type.F64 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
-          st.fpr.(id) <- Int64.float_of_bits (Bytes.get_int64_le st.mem addr);
-          next)
-    | Minstr.Store (ty, a, s) -> (
-      let is = reg_index s in
-      let ea = compile_addr a in
-      let sz = Src_type.size_of ty in
-      (* Unboxed per-type writes, same byte formats as [Layout.write_value]. *)
-      match ty with
-      | Src_type.I8 | Src_type.U8 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
-          Bytes.set_uint8 st.mem addr (st.gpr.(is) land 0xff);
-          next
-      | Src_type.I16 | Src_type.U16 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
-          Bytes.set_uint16_le st.mem addr (st.gpr.(is) land 0xffff);
-          next
-      | Src_type.I32 | Src_type.U32 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
-          Bytes.set_int32_le st.mem addr (Int32.of_int st.gpr.(is));
-          next
-      | Src_type.I64 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
-          Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
-          next
-      | Src_type.F32 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
-          Bytes.set_int32_le st.mem addr (Int32.bits_of_float st.fpr.(is));
-          next
-      | Src_type.F64 ->
-        fun st ->
-          let addr = ea st in
-          if addr < 0 || addr + sz > mem_len st then
-            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
-          Bytes.set_int64_le st.mem addr (Int64.bits_of_float st.fpr.(is));
+          check_bounds st addr sz "store";
+          write_int sz st.mem addr st.gpr.(is);
           next)
     | Minstr.VSpill (slot, s) ->
       let is = reg_index s in
@@ -956,1302 +894,295 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       (* Lib executes its payload; control flow inside Lib is as illegal
          here as in exec (assert false), so route it through exec. *)
       match inner with
-      | Minstr.Label _ | Minstr.Jmp _ | Minstr.Br _ -> fallback ins
+      | Minstr.Label _ | Minstr.Jmp _ | Minstr.Br _ -> fallback
       | _ -> compile_action pc inner)
     | Minstr.VLoad (k, ty, d, a) ->
       let id = reg_index d in
       let ea_of = compile_addr a in
-      let m = lanes_of ty in
-      let esize = Src_type.size_of ty in
+      let m = lanes_of ty and esize = Src_type.size_of ty in
       let bytes = m * esize in
-      let align : int -> int =
+      let addr : state -> int =
         match k with
-        | Minstr.VM_misaligned -> fun ea -> ea
+        | Minstr.VM_misaligned -> ea_of
         | Minstr.VM_aligned ->
-          if explicit_realign then fun ea -> ea / vs * vs (* lvx floors *)
+          if explicit_realign then fun st -> ea_of st / vs * vs (* lvx floors *)
           else
-            fun ea ->
+            fun st ->
+              let ea = ea_of st in
               if ea mod vs <> 0 then
                 faultf "aligned vector access to misaligned address %d" ea
               else ea
       in
+      (* One unboxed loop per lane width: vector loads are hot. *)
       let read : Bytes.t -> int -> vval =
         match ty with
         | Src_type.F32 ->
           fun mem ea ->
             let r = Array.make m 0.0 in
             for l = 0 to m - 1 do
-              r.(l) <-
-                Int32.float_of_bits (Bytes.get_int32_le mem (ea + (l * 4)))
+              r.(l) <- Int32.float_of_bits (Bytes.get_int32_le mem (ea + (4 * l)))
             done;
             VFloat r
         | Src_type.F64 ->
           fun mem ea ->
             let r = Array.make m 0.0 in
             for l = 0 to m - 1 do
-              r.(l) <-
-                Int64.float_of_bits (Bytes.get_int64_le mem (ea + (l * 8)))
+              r.(l) <- Int64.float_of_bits (Bytes.get_int64_le mem (ea + (8 * l)))
             done;
             VFloat r
-        | Src_type.I8 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let v = Bytes.get_uint8 mem (ea + l) in
-              r.(l) <- v - (if v land 0x80 <> 0 then 0x100 else 0)
-            done;
-            VInt r
-        | Src_type.U8 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              r.(l) <- Bytes.get_uint8 mem (ea + l)
-            done;
-            VInt r
-        | Src_type.I16 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let v = Bytes.get_uint16_le mem (ea + (l * 2)) in
-              r.(l) <- v - (if v land 0x8000 <> 0 then 0x10000 else 0)
-            done;
-            VInt r
-        | Src_type.U16 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              r.(l) <- Bytes.get_uint16_le mem (ea + (l * 2))
-            done;
-            VInt r
-        | Src_type.I32 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              r.(l) <- Int32.to_int (Bytes.get_int32_le mem (ea + (l * 4)))
-            done;
-            VInt r
-        | Src_type.U32 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              r.(l) <-
-                Int32.to_int (Bytes.get_int32_le mem (ea + (l * 4)))
-                land 0xffffffff
-            done;
-            VInt r
-        | Src_type.I64 ->
-          fun mem ea ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              r.(l) <- Int64.to_int (Bytes.get_int64_le mem (ea + (l * 8)))
-            done;
-            VInt r
+        | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
+        | Src_type.U32 | Src_type.I64 -> (
+          let nm, ns = norm_consts ty in
+          match esize with
+          | 1 ->
+            fun mem ea ->
+              let r = Array.make m 0 in
+              for l = 0 to m - 1 do
+                r.(l) <- norm nm ns (Bytes.get_uint8 mem (ea + l))
+              done;
+              VInt r
+          | 2 ->
+            fun mem ea ->
+              let r = Array.make m 0 in
+              for l = 0 to m - 1 do
+                r.(l) <- norm nm ns (Bytes.get_uint16_le mem (ea + (2 * l)))
+              done;
+              VInt r
+          | _ ->
+            fun mem ea ->
+              let r = Array.make m 0 in
+              for l = 0 to m - 1 do
+                r.(l) <- norm nm ns (read_int esize mem (ea + (esize * l)))
+              done;
+              VInt r)
       in
       fun st ->
-        let ea = align (ea_of st) in
-        if ea < 0 || ea + bytes > mem_len st then
-          faultf "%s at address %d (+%d) out of memory" "vector load" ea bytes;
+        let ea = addr st in
+        check_bounds st ea bytes "vector load";
         st.vr.(id) <- read st.mem ea;
         next
     | Minstr.VStore (k, ty, a, s) ->
-      let isrc = reg_index s in
+      let is = reg_index s in
       let ea_of = compile_addr a in
-      let m = lanes_of ty in
-      let esize = Src_type.size_of ty in
+      let m = lanes_of ty and esize = Src_type.size_of ty in
       let bytes = m * esize in
-      let is_f = Src_type.is_float ty in
-      let align : int -> int =
-        match k with
-        | Minstr.VM_misaligned -> fun ea -> ea
-        | Minstr.VM_aligned ->
-          fun ea ->
-            if ea mod vs <> 0 then
-              faultf "aligned vector store to misaligned address %d" ea
-            else ea
-      in
-      let check st lanes =
-        let ea = align (ea_of st) in
-        if ea < 0 || ea + bytes > mem_len st then
-          faultf "%s at address %d (+%d) out of memory" "vector store" ea bytes;
-        if lanes <> m then
-          faultf "vector store of %d lanes, expected %d" lanes m;
+      (* [vstore]'s checks in its order: alignment, bounds, lane count. *)
+      let addr st lanes =
+        let ea = ea_of st in
+        (match k with
+        | Minstr.VM_aligned when ea mod vs <> 0 ->
+          faultf "aligned vector store to misaligned address %d" ea
+        | Minstr.VM_aligned | Minstr.VM_misaligned -> ());
+        check_bounds st ea bytes "vector store";
+        if lanes <> m then faultf "vector store of %d lanes, expected %d" lanes m;
         ea
       in
-      let write_f : Bytes.t -> int -> float array -> unit =
-        match ty with
-        | Src_type.F32 ->
-          fun mem ea fa ->
+      (* Float stores are hot: one unboxed loop per width. *)
+      (match ty with
+      | Src_type.F32 ->
+        fun st ->
+          (match st.vr.(is) with
+          | VFloat xa ->
+            let ea = addr st (Array.length xa) in
             for l = 0 to m - 1 do
-              Bytes.set_int32_le mem (ea + (l * 4)) (Int32.bits_of_float fa.(l))
+              Bytes.set_int32_le st.mem (ea + (4 * l)) (Int32.bits_of_float xa.(l))
             done
-        | Src_type.F64 ->
-          fun mem ea fa ->
+          | VInt _ | VUndef -> exec st ins);
+          next
+      | Src_type.F64 ->
+        fun st ->
+          (match st.vr.(is) with
+          | VFloat xa ->
+            let ea = addr st (Array.length xa) in
             for l = 0 to m - 1 do
-              Bytes.set_int64_le mem (ea + (l * 8)) (Int64.bits_of_float fa.(l))
+              Bytes.set_int64_le st.mem (ea + (8 * l)) (Int64.bits_of_float xa.(l))
             done
-        | _ -> fun _ _ _ -> assert false
-      in
-      let write_i : Bytes.t -> int -> int array -> unit =
-        match ty with
-        | Src_type.I8 | Src_type.U8 ->
-          fun mem ea xa ->
+          | VInt _ | VUndef -> exec st ins);
+          next
+      | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
+      | Src_type.U32 | Src_type.I64 ->
+        fun st ->
+          (match st.vr.(is) with
+          | VInt xa ->
+            let ea = addr st (Array.length xa) in
             for l = 0 to m - 1 do
-              Bytes.set_uint8 mem (ea + l) (xa.(l) land 0xff)
+              write_int esize st.mem (ea + (l * esize)) xa.(l)
             done
-        | Src_type.I16 | Src_type.U16 ->
-          fun mem ea xa ->
-            for l = 0 to m - 1 do
-              Bytes.set_uint16_le mem (ea + (l * 2)) (xa.(l) land 0xffff)
-            done
-        | Src_type.I32 | Src_type.U32 ->
-          fun mem ea xa ->
-            for l = 0 to m - 1 do
-              Bytes.set_int32_le mem (ea + (l * 4)) (Int32.of_int xa.(l))
-            done
-        | Src_type.I64 ->
-          fun mem ea xa ->
-            for l = 0 to m - 1 do
-              Bytes.set_int64_le mem (ea + (l * 8)) (Int64.of_int xa.(l))
-            done
-        | _ -> fun _ _ _ -> assert false
-      in
-      fun st ->
-        (match st.vr.(isrc) with
-        | VFloat fa when is_f ->
-          write_f st.mem (check st (Array.length fa)) fa
-        | VInt xa when not is_f ->
-          write_i st.mem (check st (Array.length xa)) xa
-        | _ -> exec st ins);
-        next
-    | Minstr.Vop (op, ty, d, a, b) ->
-      let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then begin
-        (* The normalize-to-f32 round trip is written inline in every lane
-           loop: called through a closure it would box three floats per
-           lane, inline the whole chain stays unboxed.  [n32] selects f32
-           rounding; for f64 the conditional is the identity. *)
-        let n32 = ty = Src_type.F32 in
-        let mk (body : float array -> float array -> float array -> unit) =
-          fun st ->
-            (match st.vr.(ia), st.vr.(ib) with
-            | VFloat xa, VFloat xb ->
-              let r = Array.make m 0.0 in
-              body xa xb r;
-              st.vr.(id) <- VFloat r
-            | _, _ -> exec st ins);
-            next
-        in
-        let arith (body : float array -> float array -> float array -> unit) =
-          mk body
-        in
-        match op with
-        | Op.Add ->
-          arith (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = x +. y in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Sub ->
-          arith (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = x -. y in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Mul ->
-          arith (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = x *. y in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Div ->
-          arith (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = x /. y in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Min ->
-          arith (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = Float.min x y in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Max ->
-          arith (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = Float.max x y in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        (* Comparisons land raw 0/1 converted to float lanes. *)
-        | Op.Eq ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if x = y then 1.0 else 0.0)
-              done)
-        | Op.Ne ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if x <> y then 1.0 else 0.0)
-              done)
-        | Op.Lt ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if x < y then 1.0 else 0.0)
-              done)
-        | Op.Le ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if x <= y then 1.0 else 0.0)
-              done)
-        | Op.Gt ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if x > y then 1.0 else 0.0)
-              done)
-        | Op.Ge ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if x >= y then 1.0 else 0.0)
-              done)
-        | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr -> fallback ins
-      end
-      else begin
-        (* Per-lane normalization written inline as mask arithmetic:
-           normalize_int ty v == let x = v land nm in
-                                 if x land ns <> 0 then x - nm - 1 else x
-           with ns = 0 for unsigned types (and i64, where nm = -1 keeps
-           every bit).  Calling Src_type.normalize_int per lane would
-           cost a cross-module call and a type dispatch on each of the
-           8-16 lanes of the narrow integer kernels. *)
-        let nm, ns = norm_consts ty in
-        let mask = (Src_type.size_of ty * 8) - 1 in
-        let mk (body : int array -> int array -> int array -> unit) =
-          fun st ->
-            (match st.vr.(ia), st.vr.(ib) with
-            | VInt xa, VInt xb ->
-              let r = Array.make m 0 in
-              body xa xb r;
-              st.vr.(id) <- VInt r
-            | _, _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Add ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = (x + y) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Sub ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = (x - y) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Mul ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = x * y land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Div ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                if y = 0 then raise Division_by_zero;
-                let z = x / y land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Min ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = (if x <= y then x else y) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Max ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = (if x >= y then x else y) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.And ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = x land y land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Or ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = (x lor y) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Xor ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = x lxor y land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Shl ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = x lsl (y land mask) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Shr ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = x asr (y land mask) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Eq ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if x = y then 1 else 0)
-              done)
-        | Op.Ne ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if x <> y then 1 else 0)
-              done)
-        | Op.Lt ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if x < y then 1 else 0)
-              done)
-        | Op.Le ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if x <= y then 1 else 0)
-              done)
-        | Op.Gt ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if x > y then 1 else 0)
-              done)
-        | Op.Ge ->
-          mk (fun xa xb r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if x >= y then 1 else 0)
-              done)
-      end
-    | Minstr.Vunop (op, ty, d, s) ->
-      let id = reg_index d and is_ = reg_index s in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then begin
-        let n32 = ty = Src_type.F32 in
-        let mk (body : float array -> float array -> unit) =
-          fun st ->
-            (match st.vr.(is_) with
-            | VFloat xa ->
-              let r = Array.make m 0.0 in
-              body xa r;
-              st.vr.(id) <- VFloat r
-            | _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Neg ->
-          mk (fun xa r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                in
-                let z = -.x in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Abs ->
-          mk (fun xa r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                in
-                let z = Float.abs x in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Sqrt ->
-          mk (fun xa r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                in
-                let z = Float.sqrt x in
-                r.(l) <-
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done)
-        | Op.Not -> fallback ins
-      end
-      else begin
-        let nm, ns = norm_consts ty in
-        let mk (body : int array -> int array -> unit) =
-          fun st ->
-            (match st.vr.(is_) with
-            | VInt xa ->
-              let r = Array.make m 0 in
-              body xa r;
-              st.vr.(id) <- VInt r
-            | _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Neg ->
-          mk (fun xa r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let z = -x land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Abs ->
-          mk (fun xa r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let z = (if x < 0 then -x else x) land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Not ->
-          mk (fun xa r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let z = lnot x land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Sqrt -> fallback ins
-      end
-    | Minstr.Vshift (op, ty, d, s, amt) ->
-      if Src_type.is_float ty then fallback ins
-      else begin
-        let id = reg_index d and is_ = reg_index s in
-        let iamt = reg_index amt in
-        let m = lanes_of ty in
-        let nm, ns = norm_consts ty in
-        let mask = (Src_type.size_of ty * 8) - 1 in
-        let mk (body : int array -> int -> int array -> unit) =
-          fun st ->
-            (match st.vr.(is_) with
-            | VInt xa ->
-              let y = st.gpr.(iamt) land mask in
-              let r = Array.make m 0 in
-              body xa y r;
-              st.vr.(id) <- VInt r
-            | _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Shl ->
-          mk (fun xa y r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let z = x lsl y land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | Op.Shr ->
-          mk (fun xa y r ->
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let z = x asr y land nm in
-                r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-              done)
-        | _ -> fallback ins
-      end
+          | VFloat _ | VUndef -> exec st ins);
+          next)
     | Minstr.Vsplat (ty, d, s) ->
-      let id = reg_index d and is_ = reg_index s in
+      let id = reg_index d and is = reg_index s in
       let m = lanes_of ty in
       if Src_type.is_float ty then
-        let nf v = Src_type.normalize_float ty v in
-        fun st ->
-          st.vr.(id) <- VFloat (Array.make m (nf st.fpr.(is_)));
-          next
-      else
-        let nz i = Src_type.normalize_int ty i in
-        fun st ->
-          st.vr.(id) <- VInt (Array.make m (nz st.gpr.(is_)));
-          next
-    | Minstr.Viota (ty, d, s, inc) ->
-      if Src_type.is_float ty then fallback ins
-      else
-        let id = reg_index d and is_ = reg_index s in
-        let m = lanes_of ty in
-        let nm, ns = norm_consts ty in
-        fun st ->
-          let x = st.gpr.(is_) in
-          let r = Array.make m 0 in
-          for l = 0 to m - 1 do
-            let z = (x + (l * inc)) land nm in
-            r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
-          done;
-          st.vr.(id) <- VInt r;
-          next
-    | Minstr.Vreduce (op, ty, d, s) ->
-      let id = reg_index d and is_ = reg_index s in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then begin
         let n32 = ty = Src_type.F32 in
-        let mk (body : float array -> float) =
-          fun st ->
-            (match st.vr.(is_) with
-            | VFloat xa -> st.fpr.(id) <- body xa
-            | _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Add ->
-          mk (fun xa ->
-              let x0 = xa.(0) in
-              let acc =
-                ref
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float x0)
-                   else x0)
-              in
-              for l = 1 to m - 1 do
-                let y = xa.(l) in
-                let y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = !acc +. y in
-                acc :=
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done;
-              !acc)
-        | Op.Mul ->
-          mk (fun xa ->
-              let x0 = xa.(0) in
-              let acc =
-                ref
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float x0)
-                   else x0)
-              in
-              for l = 1 to m - 1 do
-                let y = xa.(l) in
-                let y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = !acc *. y in
-                acc :=
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done;
-              !acc)
-        | Op.Min ->
-          mk (fun xa ->
-              let x0 = xa.(0) in
-              let acc =
-                ref
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float x0)
-                   else x0)
-              in
-              for l = 1 to m - 1 do
-                let y = xa.(l) in
-                let y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = Float.min !acc y in
-                acc :=
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done;
-              !acc)
-        | Op.Max ->
-          mk (fun xa ->
-              let x0 = xa.(0) in
-              let acc =
-                ref
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float x0)
-                   else x0)
-              in
-              for l = 1 to m - 1 do
-                let y = xa.(l) in
-                let y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = Float.max !acc y in
-                acc :=
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done;
-              !acc)
-        | Op.Sub ->
-          mk (fun xa ->
-              let x0 = xa.(0) in
-              let acc =
-                ref
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float x0)
-                   else x0)
-              in
-              for l = 1 to m - 1 do
-                let y = xa.(l) in
-                let y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = !acc -. y in
-                acc :=
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done;
-              !acc)
-        | Op.Div ->
-          mk (fun xa ->
-              let x0 = xa.(0) in
-              let acc =
-                ref
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float x0)
-                   else x0)
-              in
-              for l = 1 to m - 1 do
-                let y = xa.(l) in
-                let y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                let z = !acc /. y in
-                acc :=
-                  (if n32 then Int32.float_of_bits (Int32.bits_of_float z)
-                   else z)
-              done;
-              !acc)
-        | _ -> fallback ins
-      end
-      else begin
+        fun st ->
+          st.vr.(id) <- VFloat (Array.make m (round n32 st.fpr.(is)));
+          next
+      else
         let nm, ns = norm_consts ty in
-        let mk (f : int -> int -> int) =
-          fun st ->
-            (match st.vr.(is_) with
-            | VInt xa ->
-              let x0 = xa.(0) land nm in
-              let acc = ref (if x0 land ns <> 0 then x0 - nm - 1 else x0) in
-              for l = 1 to m - 1 do
-                let y = xa.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                let z = f !acc y land nm in
-                acc := (if z land ns <> 0 then z - nm - 1 else z)
-              done;
-              st.gpr.(id) <- !acc
-            | _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Add -> mk (fun x y -> x + y)
-        | Op.Sub -> mk (fun x y -> x - y)
-        | Op.Mul -> mk (fun x y -> x * y)
-        | Op.Min -> mk (fun x y -> if x <= y then x else y)
-        | Op.Max -> mk (fun x y -> if x >= y then x else y)
-        | Op.And -> mk (fun x y -> x land y)
-        | Op.Or -> mk (fun x y -> x lor y)
-        | Op.Xor -> mk (fun x y -> x lxor y)
-        | _ -> fallback ins
-      end
-    | Minstr.Vcmp (op, ty, d, a, b) when Op.is_comparison op ->
+        fun st ->
+          st.vr.(id) <- VInt (Array.make m (norm nm ns st.gpr.(is)));
+          next
+    (* Float lanes: the lanewise loop, the reduction and Vinsert, each with
+       its shape check and fallback written out; the op is chosen per lane
+       by [float_binop]'s inlined match. *)
+    | Minstr.Vop (op, ty, d, a, b)
+      when Src_type.is_float ty && not (Op.is_bitwise op) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then begin
-        let n32 = ty = Src_type.F32 in
-        let mk (f : float -> float -> bool) =
-          fun st ->
-            (match st.vr.(ia), st.vr.(ib) with
-            | VFloat xa, VFloat xb ->
-              let r = Array.make m 0 in
-              for l = 0 to m - 1 do
-                let x = xa.(l) and y = xb.(l) in
-                let x =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                  else x
-                and y =
-                  if n32 then Int32.float_of_bits (Int32.bits_of_float y)
-                  else y
-                in
-                r.(l) <- (if f x y then 1 else 0)
-              done;
-              st.vr.(id) <- VInt r
-            | _, _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Eq -> mk (fun x y -> x = y)
-        | Op.Ne -> mk (fun x y -> x <> y)
-        | Op.Lt -> mk (fun x y -> x < y)
-        | Op.Le -> mk (fun x y -> x <= y)
-        | Op.Gt -> mk (fun x y -> x > y)
-        | Op.Ge -> mk (fun x y -> x >= y)
-        | _ -> fallback ins
-      end
-      else begin
-        let nm, ns = norm_consts ty in
-        let mk (f : int -> int -> bool) =
-          fun st ->
-            (match st.vr.(ia), st.vr.(ib) with
-            | VInt xa, VInt xb ->
-              let r = Array.make m 0 in
-              for l = 0 to m - 1 do
-                let x = xa.(l) land nm in
-                let x = if x land ns <> 0 then x - nm - 1 else x in
-                let y = xb.(l) land nm in
-                let y = if y land ns <> 0 then y - nm - 1 else y in
-                r.(l) <- (if f x y then 1 else 0)
-              done;
-              st.vr.(id) <- VInt r
-            | _, _ -> exec st ins);
-            next
-        in
-        match op with
-        | Op.Eq -> mk (fun x y -> x = y)
-        | Op.Ne -> mk (fun x y -> x <> y)
-        | Op.Lt -> mk (fun x y -> x < y)
-        | Op.Le -> mk (fun x y -> x <= y)
-        | Op.Gt -> mk (fun x y -> x > y)
-        | Op.Ge -> mk (fun x y -> x >= y)
-        | _ -> fallback ins
-      end
-    | Minstr.Vsel (ty, d, mask, a, b) ->
-      let id = reg_index d and im = reg_index mask in
-      let ia = reg_index a and ib = reg_index b in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
-        fun st ->
-          (match st.vr.(im), st.vr.(ia), st.vr.(ib) with
-          | VInt mv, VFloat xa, VFloat xb ->
-            let r = Array.make m 0.0 in
-            for l = 0 to m - 1 do
-              let v = if mv.(l) <> 0 then xa.(l) else xb.(l) in
-              r.(l) <-
-                (if n32 then Int32.float_of_bits (Int32.bits_of_float v)
-                 else v)
-            done;
-            st.vr.(id) <- VFloat r
-          | _ -> exec st ins);
-          next
-      else
-        let nm, ns = norm_consts ty in
-        fun st ->
-          (match st.vr.(im), st.vr.(ia), st.vr.(ib) with
-          | VInt mv, VInt xa, VInt xb ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let v = (if mv.(l) <> 0 then xa.(l) else xb.(l)) land nm in
-              r.(l) <- (if v land ns <> 0 then v - nm - 1 else v)
-            done;
-            st.vr.(id) <- VInt r
-          | _ -> exec st ins);
-          next
-    | Minstr.Vperm (ty, d, a, b, t) ->
-      let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let it = reg_index t in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib), st.vr.(it) with
-          | VFloat xa, VFloat xb, VInt [| tok |] ->
-            let r = Array.make m 0.0 in
-            for l = 0 to m - 1 do
-              let p = tok + l in
-              let v = if p < m then xa.(p) else xb.(p - m) in
-              r.(l) <-
-                (if n32 then Int32.float_of_bits (Int32.bits_of_float v)
-                 else v)
-            done;
-            st.vr.(id) <- VFloat r
-          | _ -> exec st ins);
-          next
-      else
-        let nm, ns = norm_consts ty in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib), st.vr.(it) with
-          | VInt xa, VInt xb, VInt [| tok |] ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let p = tok + l in
-              let v = (if p < m then xa.(p) else xb.(p - m)) land nm in
-              r.(l) <- (if v land ns <> 0 then v - nm - 1 else v)
-            done;
-            st.vr.(id) <- VInt r
-          | _ -> exec st ins);
-          next
-    | Minstr.Lvsr (ty, d, a) ->
-      let id = reg_index d in
-      let ea_of = compile_addr a in
-      let esize = Src_type.size_of ty in
+      let m = lanes_of ty and n32 = ty = Src_type.F32 in
       fun st ->
-        st.vr.(id) <- VInt [| ea_of st mod vs / esize |];
+        (match st.vr.(ia), st.vr.(ib) with
+        | VFloat xa, VFloat xb ->
+          let r = Array.make m 0.0 in
+          for l = 0 to m - 1 do
+            r.(l) <- float_binop op n32 (round n32 xa.(l)) (round n32 xb.(l))
+          done;
+          st.vr.(id) <- VFloat r
+        | _, _ -> exec st ins);
         next
-    | Minstr.Vwidenmul (h, ty, d, a, b) -> (
+    | Minstr.Vreduce (op, ty, d, s)
+      when Src_type.is_float ty && not (Op.is_bitwise op) ->
+      let id = reg_index d and is = reg_index s in
+      let m = lanes_of ty and n32 = ty = Src_type.F32 in
+      fun st ->
+        (match st.vr.(is) with
+        | VFloat xa ->
+          let acc = ref (round n32 xa.(0)) in
+          for l = 1 to m - 1 do
+            acc := float_binop op n32 !acc (round n32 xa.(l))
+          done;
+          st.fpr.(id) <- !acc
+        | VInt _ | VUndef -> exec st ins);
+        next
+    | Minstr.Vinsert (ty, d, v, n, s)
+      when Src_type.is_float ty && n >= 0 && n < lanes_of ty ->
+      let id = reg_index d and iv = reg_index v and is = reg_index s in
+      let m = lanes_of ty and n32 = ty = Src_type.F32 in
+      fun st ->
+        (match st.vr.(iv) with
+        | VFloat xa ->
+          let r = Array.make m 0.0 in
+          for l = 0 to m - 1 do
+            r.(l) <- round n32 (if l = n then st.fpr.(is) else xa.(l))
+          done;
+          st.vr.(id) <- VFloat r
+        | VInt _ | VUndef -> exec st ins);
+        next
+    (* Int lanes, all through [ints]. *)
+    | Minstr.Vop (op, ty, d, a, b) when not (Src_type.is_float ty) ->
+      let id = reg_index d and m = lanes_of ty and nm, ns = norm_consts ty in
+      let f = int_binop op ty in
+      ints [ a; b ] (fun st ps ->
+          st.vr.(id) <- VInt (int_lanes m nm ns f ps.(0) ps.(1)))
+    | Minstr.Vunop (op, ty, d, s) when not (Src_type.is_float ty) -> (
+      let id = reg_index d and m = lanes_of ty and nm, ns = norm_consts ty in
+      match int_unop op with
+      | Some f ->
+        ints [ s ] (fun st ps ->
+            st.vr.(id) <- VInt (int_lanes m nm ns f ps.(0) ps.(0)))
+      | None -> fallback)
+    | Minstr.Vshift (((Op.Shl | Op.Shr) as op), ty, d, s, amt)
+      when not (Src_type.is_float ty) ->
+      (* [exec] shifts every lane by the raw GPR; normalizing the broadcast
+         amount at [ty] keeps the low bits a shift reads. *)
+      let id = reg_index d and iamt = reg_index amt in
+      let m = lanes_of ty and nm, ns = norm_consts ty in
+      let f = int_binop op ty in
+      ints [ s ] (fun st ps ->
+          let y = Array.make m st.gpr.(iamt) in
+          st.vr.(id) <- VInt (int_lanes m nm ns f ps.(0) y))
+    | Minstr.Vreduce (op, ty, d, s) when not (Src_type.is_float ty) ->
+      let id = reg_index d and m = lanes_of ty and nm, ns = norm_consts ty in
+      let f = int_binop op ty in
+      ints [ s ] (fun st ps -> st.gpr.(id) <- int_reduce m nm ns f ps.(0))
+    | Minstr.Vunpack (h, ty, d, s) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
-      | None -> fallback ins (* widen_exn faults at execution *)
-      | Some w when Src_type.is_float ty || Src_type.is_float w -> fallback ins
+      | None -> fallback (* widen_exn faults at execution *)
       | Some w ->
-        let id = reg_index d and ia = reg_index a and ib = reg_index b in
-        let m = lanes_of ty in
-        let off = half_off h m in
-        let nm, ns = norm_consts ty in
-        let wm, ws = norm_consts w in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib) with
-          | VInt xa, VInt xb ->
-            let r = Array.make (m / 2) 0 in
-            for l = 0 to (m / 2) - 1 do
-              let x = xa.(off + l) land nm in
-              let x = if x land ns <> 0 then x - nm - 1 else x in
-              let x = x land wm in
-              let x = if x land ws <> 0 then x - wm - 1 else x in
-              let y = xb.(off + l) land nm in
-              let y = if y land ns <> 0 then y - nm - 1 else y in
-              let y = y land wm in
-              let y = if y land ws <> 0 then y - wm - 1 else y in
-              let z = x * y land wm in
-              r.(l) <- (if z land ws <> 0 then z - wm - 1 else z)
-            done;
-            st.vr.(id) <- VInt r
-          | _, _ -> exec st ins);
-          next)
-    | Minstr.Vdot (ty, d, a, b, acc) -> (
-      match Src_type.widen ty with
-      | None -> fallback ins
-      | Some w when Src_type.is_float ty || Src_type.is_float w -> fallback ins
-      | Some w ->
-        let id = reg_index d and ia = reg_index a and ib = reg_index b in
-        let iacc = reg_index acc in
-        let m = lanes_of ty in
-        let nm, ns = norm_consts ty in
-        let wm, ws = norm_consts w in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib), st.vr.(iacc) with
-          | VInt xa, VInt xb, VInt xc ->
-            let r = Array.make (m / 2) 0 in
-            for l = 0 to (m / 2) - 1 do
-              let x = xa.(2 * l) land nm in
-              let x = if x land ns <> 0 then x - nm - 1 else x in
-              let x = x land wm in
-              let x = if x land ws <> 0 then x - wm - 1 else x in
-              let y = xb.(2 * l) land nm in
-              let y = if y land ns <> 0 then y - nm - 1 else y in
-              let y = y land wm in
-              let y = if y land ws <> 0 then y - wm - 1 else y in
-              let p0 = x * y land wm in
-              let p0 = if p0 land ws <> 0 then p0 - wm - 1 else p0 in
-              let x = xa.((2 * l) + 1) land nm in
-              let x = if x land ns <> 0 then x - nm - 1 else x in
-              let x = x land wm in
-              let x = if x land ws <> 0 then x - wm - 1 else x in
-              let y = xb.((2 * l) + 1) land nm in
-              let y = if y land ns <> 0 then y - nm - 1 else y in
-              let y = y land wm in
-              let y = if y land ws <> 0 then y - wm - 1 else y in
-              let p1 = x * y land wm in
-              let p1 = if p1 land ws <> 0 then p1 - wm - 1 else p1 in
-              let acc = xc.(l) land wm in
-              let acc = if acc land ws <> 0 then acc - wm - 1 else acc in
-              let s = (p0 + p1) land wm in
-              let s = if s land ws <> 0 then s - wm - 1 else s in
-              let z = (acc + s) land wm in
-              r.(l) <- (if z land ws <> 0 then z - wm - 1 else z)
-            done;
-            st.vr.(id) <- VInt r
-          | _ -> exec st ins);
-          next)
-    | Minstr.Vunpack (h, ty, d, s) -> (
-      match Src_type.widen ty with
-      | None -> fallback ins
-      | Some w when Src_type.is_float ty || Src_type.is_float w -> fallback ins
-      | Some w ->
-        let id = reg_index d and is_ = reg_index s in
-        let m = lanes_of ty in
-        let off = half_off h m in
-        let nm, ns = norm_consts ty in
-        let wm, ws = norm_consts w in
-        fun st ->
-          (match st.vr.(is_) with
-          | VInt xa ->
-            let r = Array.make (m / 2) 0 in
-            for l = 0 to (m / 2) - 1 do
-              let x = xa.(off + l) land nm in
-              let x = if x land ns <> 0 then x - nm - 1 else x in
-              let x = x land wm in
-              r.(l) <- (if x land ws <> 0 then x - wm - 1 else x)
-            done;
-            st.vr.(id) <- VInt r
-          | _ -> exec st ins);
-          next)
-    | Minstr.Vpack (ty, d, a, b) -> (
+        let id = reg_index d and m = lanes_of ty in
+        let map = lane_map ~first:(half_off h m) m (m / 2) in
+        let from = norm_consts ty and into = norm_consts w in
+        ints [ s ] (fun st ps ->
+            st.vr.(id) <- VInt (gather from into map ps (Array.make (m / 2) 0))))
+    | Minstr.Vpack (ty, d, a, b) when not (Src_type.is_float ty) -> (
       match Src_type.narrow ty with
-      | None -> fallback ins (* narrow_exn faults at execution *)
-      | Some nt when Src_type.is_float ty || Src_type.is_float nt ->
-        fallback ins
-      | Some nt ->
-        let id = reg_index d and ia = reg_index a and ib = reg_index b in
-        let m = lanes_of ty in
-        let nm, ns = norm_consts ty in
-        let pm, ps = norm_consts nt in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib) with
-          | VInt xa, VInt xb ->
-            let r = Array.make (2 * m) 0 in
-            for l = 0 to (2 * m) - 1 do
-              let x = (if l < m then xa.(l) else xb.(l - m)) land nm in
-              let x = if x land ns <> 0 then x - nm - 1 else x in
-              let x = x land pm in
-              r.(l) <- (if x land ps <> 0 then x - pm - 1 else x)
+      | None -> fallback (* narrow_exn faults at execution *)
+      | Some n ->
+        let id = reg_index d and m = lanes_of ty in
+        let map = lane_map m (2 * m) in
+        let from = norm_consts ty and into = norm_consts n in
+        ints [ a; b ] (fun st ps ->
+            st.vr.(id) <- VInt (gather from into map ps (Array.make (2 * m) 0))))
+    | Minstr.Vcvt (t1, t2, d, s)
+      when not (Src_type.is_float t1 || Src_type.is_float t2) ->
+      let id = reg_index d and m = lanes_of t1 in
+      let map = lane_map m m in
+      let from = norm_consts t1 and into = norm_consts t2 in
+      ints [ s ] (fun st ps ->
+          st.vr.(id) <- VInt (gather from into map ps (Array.make m 0)))
+    | Minstr.Vextract (ty, stride, offset, d, parts)
+      when not (Src_type.is_float ty) ->
+      let id = reg_index d and m = lanes_of ty in
+      let map = lane_map ~first:offset ~stride m m in
+      let c = norm_consts ty in
+      ints parts (fun st ps ->
+          st.vr.(id) <- VInt (gather c c map ps (Array.make m 0)))
+    | Minstr.Vinsert (ty, d, v, n, s)
+      when (not (Src_type.is_float ty)) && n >= 0 && n < lanes_of ty ->
+      (* Lane n gathers from a one-lane second source holding the scalar,
+         so the base register's lane n is never read, as in [exec]. *)
+      let id = reg_index d and is = reg_index s and m = lanes_of ty in
+      let ((sj, si) as map) = lane_map m m in
+      sj.(n) <- 1;
+      si.(n) <- 0;
+      let c = norm_consts ty in
+      ints [ v ] (fun st ps ->
+          let ps = [| ps.(0); [| st.gpr.(is) |] |] in
+          st.vr.(id) <- VInt (gather c c map ps (Array.make m 0)))
+    (* The widening products, on top of the gather and lanewise loops.  The
+       widened operands are temporaries, gathered into per-instruction
+       scratch arrays ([ta], [tb]): a plan is not re-entrant. *)
+    | Minstr.Vwidenmul (h, ty, d, a, b) when not (Src_type.is_float ty) -> (
+      match Src_type.widen ty with
+      | None -> fallback
+      | Some w ->
+        let id = reg_index d and m = lanes_of ty in
+        let half = m / 2 and first = half_off h m in
+        let la = lane_map ~first m half and lb = lane_map ~src:1 ~first m half in
+        let from = norm_consts ty and ((wm, ws) as into) = norm_consts w in
+        let mul = int_binop Op.Mul w in
+        let ta = Array.make half 0 and tb = Array.make half 0 in
+        ints [ a; b ] (fun st ps ->
+            st.vr.(id) <-
+              VInt
+                (int_lanes half wm ws mul (gather from into la ps ta)
+                   (gather from into lb ps tb))))
+    | Minstr.Vdot (ty, d, a, b, acc) when not (Src_type.is_float ty) -> (
+      match Src_type.widen ty with
+      | None -> fallback
+      | Some w ->
+        (* lane l is acc.(l) + (p0 + p1) at w, the products of the widened
+           lanes 2l and 2l+1 *)
+        let id = reg_index d and m = lanes_of ty in
+        let half = m / 2 in
+        let la = lane_map m (2 * half) and lb = lane_map ~src:1 m (2 * half) in
+        let from = norm_consts ty and ((wm, ws) as into) = norm_consts w in
+        let ta = Array.make (2 * half) 0 and tb = Array.make (2 * half) 0 in
+        ints [ a; b; acc ] (fun st ps ->
+            let x = gather from into la ps ta and y = gather from into lb ps tb in
+            let c = ps.(2) and r = Array.make half 0 in
+            for l = 0 to half - 1 do
+              let i = 2 * l in
+              let p0 = norm wm ws (x.(i) * y.(i))
+              and p1 = norm wm ws (x.(i + 1) * y.(i + 1)) in
+              r.(l) <- norm wm ws (norm wm ws c.(l) + norm wm ws (p0 + p1))
             done;
-            st.vr.(id) <- VInt r
-          | _, _ -> exec st ins);
-          next)
-    | Minstr.Vcvt (t1, t2, d, s) -> (
-      let id = reg_index d and is_ = reg_index s in
-      let m = lanes_of t1 in
-      match Src_type.is_float t1, Src_type.is_float t2 with
-      | false, false ->
-        let nm, ns = norm_consts t1 in
-        let pm, ps = norm_consts t2 in
-        fun st ->
-          (match st.vr.(is_) with
-          | VInt xa ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let x = xa.(l) land nm in
-              let x = if x land ns <> 0 then x - nm - 1 else x in
-              let x = x land pm in
-              r.(l) <- (if x land ps <> 0 then x - pm - 1 else x)
-            done;
-            st.vr.(id) <- VInt r
-          | _ -> exec st ins);
-          next
-      | true, true ->
-        let n32a = t1 = Src_type.F32 and n32b = t2 = Src_type.F32 in
-        fun st ->
-          (match st.vr.(is_) with
-          | VFloat xa ->
-            let r = Array.make m 0.0 in
-            for l = 0 to m - 1 do
-              let x = xa.(l) in
-              let x =
-                if n32a then Int32.float_of_bits (Int32.bits_of_float x)
-                else x
-              in
-              r.(l) <-
-                (if n32b then Int32.float_of_bits (Int32.bits_of_float x)
-                 else x)
-            done;
-            st.vr.(id) <- VFloat r
-          | _ -> exec st ins);
-          next
-      | _ -> fallback ins)
-    | Minstr.Vinterleave (h, ty, d, a, b) ->
-      let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let m = lanes_of ty in
-      let off = half_off h m in
-      if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib) with
-          | VFloat xa, VFloat xb ->
-            let r = Array.make m 0.0 in
-            for l = 0 to m - 1 do
-              let v =
-                if l mod 2 = 0 then xa.(off + (l / 2)) else xb.(off + (l / 2))
-              in
-              r.(l) <-
-                (if n32 then Int32.float_of_bits (Int32.bits_of_float v)
-                 else v)
-            done;
-            st.vr.(id) <- VFloat r
-          | _, _ -> exec st ins);
-          next
-      else
-        let nm, ns = norm_consts ty in
-        fun st ->
-          (match st.vr.(ia), st.vr.(ib) with
-          | VInt xa, VInt xb ->
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let v =
-                (if l mod 2 = 0 then xa.(off + (l / 2))
-                 else xb.(off + (l / 2)))
-                land nm
-              in
-              r.(l) <- (if v land ns <> 0 then v - nm - 1 else v)
-            done;
-            st.vr.(id) <- VInt r
-          | _, _ -> exec st ins);
-          next
-    | Minstr.Vextract (ty, stride, offset, d, parts) ->
-      let id = reg_index d in
-      let ids = Array.of_list (List.map reg_index parts) in
-      let k = Array.length ids in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
-        fun st ->
-          let ok = ref true in
-          let ps = Array.make (max 1 k) [||] in
-          for j = 0 to k - 1 do
-            match st.vr.(ids.(j)) with
-            | VFloat a -> ps.(j) <- a
-            | _ -> ok := false
-          done;
-          if not !ok then exec st ins
-          else begin
-            let r = Array.make m 0.0 in
-            for l = 0 to m - 1 do
-              let p = offset + (l * stride) in
-              let v = ps.(p / m).(p mod m) in
-              r.(l) <-
-                (if n32 then Int32.float_of_bits (Int32.bits_of_float v)
-                 else v)
-            done;
-            st.vr.(id) <- VFloat r
-          end;
-          next
-      else
-        let nm, ns = norm_consts ty in
-        fun st ->
-          let ok = ref true in
-          let ps = Array.make (max 1 k) [||] in
-          for j = 0 to k - 1 do
-            match st.vr.(ids.(j)) with
-            | VInt a -> ps.(j) <- a
-            | _ -> ok := false
-          done;
-          if not !ok then exec st ins
-          else begin
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              let p = offset + (l * stride) in
-              let v = ps.(p / m).(p mod m) land nm in
-              r.(l) <- (if v land ns <> 0 then v - nm - 1 else v)
-            done;
-            st.vr.(id) <- VInt r
-          end;
-          next
-    | Minstr.Vinsert (ty, d, v, n, s) ->
-      let id = reg_index d and iv = reg_index v and is_ = reg_index s in
-      let m = lanes_of ty in
-      if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
-        fun st ->
-          (match st.vr.(iv) with
-          | VFloat xa ->
-            if n < 0 || n >= m then faultf "vinsert lane %d out of %d" n m;
-            let r = Array.make m 0.0 in
-            for l = 0 to m - 1 do
-              let x = if l = n then st.fpr.(is_) else xa.(l) in
-              r.(l) <-
-                (if n32 then Int32.float_of_bits (Int32.bits_of_float x)
-                 else x)
-            done;
-            st.vr.(id) <- VFloat r
-          | _ -> exec st ins);
-          next
-      else
-        let nz i = Src_type.normalize_int ty i in
-        fun st ->
-          (match st.vr.(iv) with
-          | VInt xa ->
-            if n < 0 || n >= m then faultf "vinsert lane %d out of %d" n m;
-            let r = Array.make m 0 in
-            for l = 0 to m - 1 do
-              r.(l) <- nz (if l = n then st.gpr.(is_) else xa.(l))
-            done;
-            st.vr.(id) <- VInt r
-          | _ -> exec st ins);
-          next
-    | Minstr.Scmp _ | Minstr.Vcmp _
-    | Minstr.VMaskedLoad _ | Minstr.VMaskedStore _ ->
-      fallback ins
+            st.vr.(id) <- VInt r))
+    (* Everything else runs the reference step: the float forms of Sunop,
+       Vunop, Vcvt and Vextract, and the instructions the measured mix
+       barely runs (Scmp, Cmov, Viota, Vcmp, Vsel, Vperm, Lvsr, Vinterleave,
+       masked loads and stores). *)
+    | _ -> fallback
   in
   let p_code = Array.mapi compile_action instrs in
   (* Parameter binders: per-name closures that keep List.assoc_opt (the

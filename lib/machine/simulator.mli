@@ -26,10 +26,13 @@ val run :
 
 (** A pre-resolved execution plan for one compiled function on one target:
     labels resolved to pcs, per-pc costs (x87-blended) precomputed,
-    parameter binding compiled to closures, common scalar instructions
-    specialized.  Bit-, cycle-, instruction- and fault-exact against
-    [run]; built once at JIT-compile time and reused for every
-    invocation with zero per-run setup allocation. *)
+    parameter binding compiled to closures.  The instructions the measured
+    workload mix runs compile to specialized closures — scalar, control
+    and spill instructions directly, vector lane operations through a few
+    shared lane loops; every other instruction runs the reference step.
+    Bit-, cycle-, instruction- and fault-exact against [run]; built once at
+    JIT-compile time and reused for every invocation with zero per-run
+    setup allocation. *)
 type plan
 
 val prepare : target:Target.t -> Mfun.t -> plan

@@ -16,7 +16,8 @@ let fail = Alcotest.fail
 let sse = Vapor_targets.Sse.target
 let altivec = Vapor_targets.Altivec.target
 
-let mfun ?(n_gpr = 16) ?(n_fpr = 16) ?(n_vr = 16) ?(params = []) instrs =
+let mfun ?(n_gpr = 16) ?(n_fpr = 16) ?(n_vr = 16) ?(params = [])
+    ?(fp_unit = Mfun.Fp_scalar_simd) instrs =
   {
     Mfun.name = "test";
     instrs = Array.of_list instrs;
@@ -24,17 +25,50 @@ let mfun ?(n_gpr = 16) ?(n_fpr = 16) ?(n_vr = 16) ?(params = []) instrs =
     n_fpr;
     n_vr;
     param_regs = params;
-    fp_unit = Mfun.Fp_scalar_simd;
+    fp_unit;
     stack_bytes = 256;
     n_vspill = 4;
   }
 
-let run ?(target = sse) ?(arrays = []) ?(scalars = []) instrs =
+(* Run [instrs] twice, each on its own copy of the memory image: through
+   the reference [Simulator.run] and through a prepared plan.  The two must
+   agree on cycles, executed instructions and final memory, or raise the
+   same exception (fault message included).  Returns the reference
+   outcome, with [arrays] read back. *)
+let run_both ?(target = sse) ?(arrays = []) ?(scalars = []) ?params ?fp_unit
+    ?fuel instrs =
   let layout = Layout.plan ~policy:Layout.aligned_policy arrays in
   let mem = Layout.materialize layout arrays in
-  let r = Simulator.run target layout mem (mfun instrs) ~scalar_args:scalars in
+  let plan_mem = Bytes.copy mem in
+  let f = mfun ?params ?fp_unit instrs in
+  let outcome go = match go () with r -> Ok r | exception e -> Error e in
+  let reference =
+    outcome (fun () ->
+        Simulator.run ?fuel target layout mem f ~scalar_args:scalars)
+  in
+  let planned =
+    outcome (fun () ->
+        Simulator.run_plan ?fuel (Simulator.prepare ~target f) layout plan_mem
+          ~scalar_args:scalars)
+  in
+  (match reference, planned with
+  | Ok r, Ok p ->
+    check Alcotest.int "plan cycles" r.Simulator.r_cycles p.Simulator.r_cycles;
+    check Alcotest.int "plan instructions" r.Simulator.r_instructions
+      p.Simulator.r_instructions
+  | Error e, Error e' ->
+    check Alcotest.string "plan exception" (Printexc.to_string e)
+      (Printexc.to_string e')
+  | Ok _, Error e -> fail ("only the plan raised " ^ Printexc.to_string e)
+  | Error e, Ok _ -> fail ("only the reference raised " ^ Printexc.to_string e));
+  check Alcotest.bool "plan memory" true (Bytes.equal mem plan_mem);
   Layout.read_back layout mem arrays;
-  r
+  reference
+
+let run ?target ?arrays ?scalars ?fp_unit ?fuel instrs =
+  match run_both ?target ?arrays ?scalars ?fp_unit ?fuel instrs with
+  | Ok r -> r
+  | Error e -> raise e
 
 let f32s n = Buffer_.init Src_type.F32 n (fun i -> Value.Float (float_of_int i))
 let i32s n = Buffer_.init Src_type.I32 n (fun i -> Value.Int (i + 1))
@@ -95,13 +129,7 @@ let test_branching_loop () =
   check Alcotest.int "sum" 45 (Value.to_int (Buffer_.get out 0))
 
 let test_infinite_loop_fuel () =
-  match
-    Simulator.run ~fuel:1000 sse
-      (Layout.plan ~policy:Layout.aligned_policy [])
-      (Bytes.create 8192)
-      (mfun [ M.Label 0; M.Jmp 0 ])
-      ~scalar_args:[]
-  with
+  match run ~fuel:1000 [ M.Label 0; M.Jmp 0 ] with
   | _ -> fail "expected fuel exhaustion"
   | exception Simulator.Fault _ -> ()
 
@@ -236,6 +264,86 @@ let test_vreduce_and_insert () =
        ]);
   check Alcotest.int "max lane" 100 (Value.to_int (Buffer_.get out 0))
 
+(* --- faults: the plan raises exactly what the reference raises ---------- *)
+
+let out_of_memory = { (M.plain_addr "a") with M.disp = 1 lsl 20 }
+
+(* (name, target, fuel, parameters, instructions); [run] checks the plan
+   against the reference, the test that the reference does raise. *)
+let fault_cases =
+  let a = M.plain_addr "a" in
+  let n_param = [ "n", Src_type.I32, Mfun.In_reg (M.gpr 0) ] in
+  [
+    "scalar load out of bounds", sse, None, [],
+    [ M.Load (Src_type.I32, M.gpr 0, out_of_memory) ];
+    "scalar store out of bounds", sse, None, [],
+    [ M.Li (M.gpr 0, 1); M.Store (Src_type.I64, out_of_memory, M.gpr 0) ];
+    "vector load out of bounds", sse, None, [],
+    [ M.VLoad (M.VM_misaligned, Src_type.F32, M.vr 0, out_of_memory) ];
+    "vector store out of bounds", sse, None, [],
+    [
+      M.Li (M.gpr 0, 7);
+      M.Vsplat (Src_type.I16, M.vr 0, M.gpr 0);
+      M.VStore (M.VM_misaligned, Src_type.I16, out_of_memory, M.vr 0);
+    ];
+    "undefined vector register", sse, None, [],
+    [ M.Vop (Op.Add, Src_type.F32, M.vr 2, M.vr 0, M.vr 1) ];
+    "undefined int lane source", sse, None, [],
+    [ M.Vunpack (M.Lo, Src_type.I16, M.vr 2, M.vr 5) ];
+    "undefined vector store", sse, None, [],
+    [ M.VStore (M.VM_aligned, Src_type.I32, a, M.vr 3) ];
+    "vinsert lane out of range", sse, None, [],
+    [
+      M.Li (M.gpr 0, 1);
+      M.Vsplat (Src_type.I32, M.vr 0, M.gpr 0);
+      M.Vinsert (Src_type.I32, M.vr 1, M.vr 0, 4, M.gpr 0);
+    ];
+    "vector store lane-count mismatch", sse, None, [],
+    [
+      M.VLoad (M.VM_aligned, Src_type.I32, M.vr 0, a);
+      M.VStore (M.VM_aligned, Src_type.I16, a, M.vr 0);
+    ];
+    "lane class mismatch", sse, None, [],
+    [
+      M.VLoad (M.VM_aligned, Src_type.I32, M.vr 0, a);
+      M.Vop (Op.Mul, Src_type.F32, M.vr 1, M.vr 0, M.vr 0);
+    ];
+    "missing scalar argument", sse, None, n_param, [ M.Li (M.gpr 1, 0) ];
+    "integer Div by zero", sse, None, [],
+    [
+      M.Li (M.gpr 0, 5);
+      M.Li (M.gpr 1, 0);
+      M.Sop (Op.Div, Src_type.I32, M.gpr 2, M.gpr 0, M.gpr 1);
+    ];
+    "vector Div by zero", sse, None, [],
+    [
+      M.Li (M.gpr 0, 0);
+      M.Vsplat (Src_type.I16, M.vr 0, M.gpr 0);
+      M.Vop (Op.Div, Src_type.I16, M.vr 1, M.vr 0, M.vr 0);
+    ];
+    "widen of i64", sse, None, [],
+    [
+      M.VLoad (M.VM_aligned, Src_type.I64, M.vr 0, a);
+      M.Vunpack (M.Hi, Src_type.I64, M.vr 1, M.vr 0);
+    ];
+    "fuel exhaustion", sse, Some 50, [],
+    [ M.Li (M.gpr 0, 0); M.Label 0; M.Jmp 0 ];
+    "aligned store misaligned on altivec", altivec, None, [],
+    [
+      M.Lfi (M.fpr 0, 1.0);
+      M.Vsplat (Src_type.F32, M.vr 0, M.fpr 0);
+      M.VStore (M.VM_aligned, Src_type.F32, { a with M.disp = 4 }, M.vr 0);
+    ];
+  ]
+
+let test_faults () =
+  List.iter
+    (fun (name, target, fuel, params, instrs) ->
+      match run_both ~target ?fuel ~params ~arrays:[ "a", i32s 16 ] instrs with
+      | Ok _ -> fail (name ^ ": expected the reference to raise")
+      | Error _ -> ())
+    fault_cases
+
 (* --- cycle accounting --------------------------------------------------- *)
 
 let test_cycles_charged () =
@@ -251,16 +359,8 @@ let test_x87_penalty () =
   let instrs =
     [ M.Lfi (M.fpr 0, 1.0); M.Sop (Op.Add, Src_type.F32, M.fpr 1, M.fpr 0, M.fpr 0) ]
   in
-  let layout = Layout.plan ~policy:Layout.aligned_policy [] in
-  let mem () = Bytes.create 8192 in
-  let fast =
-    Simulator.run sse layout (mem ()) (mfun instrs) ~scalar_args:[]
-  in
-  let slow =
-    Simulator.run sse layout (mem ())
-      { (mfun instrs) with Mfun.fp_unit = Mfun.Fp_x87 }
-      ~scalar_args:[]
-  in
+  let fast = run instrs in
+  let slow = run ~fp_unit:Mfun.Fp_x87 instrs in
   check Alcotest.bool "x87 scalar FP costs more" true
     (slow.Simulator.r_cycles > fast.Simulator.r_cycles)
 
@@ -408,6 +508,7 @@ let () =
           Alcotest.test_case "dot product" `Quick test_dot_product;
           Alcotest.test_case "reduce+insert" `Quick test_vreduce_and_insert;
         ] );
+      "faults", [ Alcotest.test_case "plan = reference" `Quick test_faults ];
       ( "cycles",
         [
           Alcotest.test_case "charged" `Quick test_cycles_charged;

@@ -394,7 +394,7 @@ let bench_domains () =
   let trace = Trace.standard ~length:bench_replay_length ~n_targets:1 () in
   let cfg = replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target in
   let baseline =
-    Service.report_to_string (Service.replay_sharded ~domains:1 cfg trace)
+    Service.report_to_string (Service.replay ~domains:1 cfg trace)
   in
   let rows =
     List.map
@@ -404,7 +404,7 @@ let bench_domains () =
           best_of_3 (fun () ->
               report :=
                 Service.report_to_string
-                  (Service.replay_sharded ~domains cfg trace))
+                  (Service.replay ~domains cfg trace))
         in
         ( domains,
           float_of_int bench_replay_length /. s,

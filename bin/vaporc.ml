@@ -6,12 +6,22 @@
      vaporc lower -k saxpy_fp -t sse      online stage: machine code
      vaporc run -k saxpy_fp -t altivec    compile + simulate, print cycles
      vaporc stat -k saxpy_fp              bytecode size statistics
+     vaporc conform -t avx512             JIT vs interpreter, bit-compared
      vaporc serve-replay -t sse           tiered runtime + code cache replay
+     vaporc chaos-replay -t sse --seed 1  ...under injected faults
+     vaporc serve-bench -t sse            multi-stream serving drain
+     vaporc serve -t sse --script s.srv   serving layer, scripted streams
+     vaporc fleet-replay                  heterogeneous fleet + upgrades
+     vaporc cache ls --store DIR          persistent code-store admin
+     vaporc journal verify DIR            admission-journal check
      vaporc jit-report                    JIT cost profiler, per kernel/target
      vaporc experiments                   regenerate the paper's figures
 
    Kernels come from the built-in suite (-k) or from a file containing
-   kernel-language source (-f). *)
+   kernel-language source (-f).  The five serving subcommands are presets
+   over one front-end: each flag is declared once, and every preset runs
+   through Service.replay or Serve.run (see "serving" below and the
+   "Command line" section of docs/SERVING.md). *)
 
 open Cmdliner
 module Suite = Vapor_kernels.Suite
@@ -29,6 +39,8 @@ module Store = Vapor_store.Store
 module Serve = Vapor_serve.Serve
 module Workload = Vapor_serve.Workload
 module Ingress = Vapor_serve.Ingress
+module Tiered = Vapor_runtime.Tiered
+module Faults = Vapor_runtime.Faults
 
 (* --- name resolution ----------------------------------------------------
    Unknown kernel/target names are user errors, not internal ones: print
@@ -64,18 +76,29 @@ let resolve_kernel name =
     die_unknown ~what:"kernel" ~given:name
       ~valid:(List.map (fun e -> e.Suite.name) Suite.all)
 
-(* A non-positive batch flag is a user error: exit 2 with the usage line
-   (zero or negative windows/caps have no meaning in the formation
-   model). *)
-let resolve_positive ~flag v : int =
-  if v <= 0 then begin
-    Printf.eprintf
-      "vaporc: --%s must be a positive integer (got %d)\n\
-       usage: --%s N with N >= 1 (--max-batch 1 disables batching)\n"
-      flag v flag;
-    exit 2
-  end
-  else v
+(* A flag value outside its domain is a user error, like an unknown name:
+   exit 2 with one line naming the flag (the batch flags add a usage line —
+   zero or negative windows/caps have no meaning in the formation model). *)
+let bad_value ?(usage = "") ~flag ~expect got =
+  Printf.eprintf "vaporc: --%s must be %s (got %s)\n%s" flag expect got usage;
+  exit 2
+
+let at_least n ~flag v =
+  if v >= n then v
+  else bad_value ~flag ~expect:(Printf.sprintf ">= %d" n) (string_of_int v)
+
+let probability ~flag p =
+  if p >= 0.0 && p <= 1.0 then p
+  else bad_value ~flag ~expect:"in [0, 1]" (Printf.sprintf "%g" p)
+
+let resolve_positive ~flag v =
+  if v > 0 then v
+  else
+    bad_value ~flag ~expect:"a positive integer" (string_of_int v)
+      ~usage:
+        (Printf.sprintf
+           "usage: --%s N with N >= 1 (--max-batch 1 disables batching)\n"
+           flag)
 
 (* A bad --store path is a user error like an unknown name: exit 2 with
    the reason.  Replay commands create a missing directory ([create]);
@@ -419,871 +442,661 @@ let disasm_cmd =
        ~doc:"Decode a binary bytecode file and print it as text.")
     Term.(const run $ path_arg)
 
-let serve_replay_cmd =
-  let length_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "length" ] ~docv:"N" ~doc:"Number of trace events to replay.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"Trace PRNG seed (replays are \
-                                        deterministic per seed).")
-  in
-  let hotness_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "hotness" ] ~docv:"N"
-          ~doc:"Interpreter invocations before a kernel body is promoted \
-                to the JIT tier.")
-  in
-  let cache_entries_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-entries" ] ~docv:"N"
-          ~doc:"Code-cache entry budget (LRU beyond this).")
-  in
-  let cache_bytes_arg =
-    Arg.(
-      value & opt int (256 * 1024)
-      & info [ "cache-bytes" ] ~docv:"BYTES"
-          ~doc:"Code-cache modeled byte budget (LRU beyond this).")
-  in
-  let rejuvenate_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rejuvenate-to" ] ~docv:"TARGET"
-          ~doc:"Mid-replay, re-lower all cached code from the primary \
-                target to $(docv) and redirect traffic (Revec-style \
-                rejuvenation).")
-  in
-  let rejuvenate_at_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "rejuvenate-at" ] ~docv:"EVENT"
-          ~doc:"Trace event index at which rejuvenation fires.")
-  in
-  let kernels_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "kernels" ] ~docv:"NAMES"
-          ~doc:"Comma-separated suite kernels for the trace (default: the \
-                standard mix).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Shard the replay across $(docv) OCaml domains (the trace is \
-                partitioned by kernel digest; the merged report is \
-                identical for any $(docv)).")
-  in
-  let engine_arg =
-    Arg.(
-      value & opt string "fast"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Execution engine: 'fast' (slot-compiled bodies and \
-                pre-resolved plans) or 'reference' (tree-walking \
-                interpreter and instruction-by-instruction simulator). \
-                Reports are identical; only wall-clock differs.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the report as JSON instead of the text tables.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a structured span trace of the replay to $(docv) as \
-             JSONL: one replay_event root span per trace event, with \
-             cache_lookup/compile/exec/oracle child spans and \
-             pipeline-stage leaf spans beneath it.")
-  in
-  let trace_det_arg =
-    Arg.(
-      value & flag
-      & info [ "trace-deterministic" ]
-          ~doc:
-            "Omit wall-clock fields from the span trace, leaving only the \
-             deterministic ordinal clock — the trace is then \
-             byte-identical for any --domains value.")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Export the metrics registry (counters, histograms, and \
-             observability gauges) to $(docv): Prometheus text format, or \
-             JSON when $(docv) ends in .json.")
-  in
-  let store_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Persistent code store: in-memory cache misses probe $(docv) \
-             before compiling, and every compile publishes write-through, \
-             so a second run over the same workload performs zero JIT \
-             compiles.  Created if missing.")
-  in
-  let run target profile length seed hotness cache_entries cache_bytes
-      rejuvenate rejuvenate_at kernels domains engine json trace_out
-      trace_deterministic metrics_out store_dir =
-    let target = resolve_target target in
-    let store = Option.map (open_store_or_die ~create:true) store_dir in
-    let engine =
-      match Vapor_runtime.Tiered.engine_of_string engine with
-      | Some e -> e
-      | None ->
-        die_unknown ~what:"engine" ~given:engine ~valid:[ "fast"; "reference" ]
-    in
-    let kernels =
-      Option.map (List.map (fun n -> (resolve_kernel n).Suite.name)) kernels
-    in
-    let trace =
-      Trace.standard ~seed ?kernels ~length ~n_targets:1 ()
-    in
-    let cfg =
-      {
-        (Service.default_config ~targets:[ target ]) with
-        Service.cfg_profile = profile;
-        cfg_hotness = hotness;
-        cfg_max_entries = cache_entries;
-        cfg_max_bytes = cache_bytes;
-        cfg_rejuvenate =
-          Option.map
-            (fun name -> rejuvenate_at, target, resolve_target name)
-            rejuvenate;
-        cfg_engine = engine;
-        cfg_store = store;
-      }
-    in
-    let stats = Stats.create () in
-    let tracer =
-      match trace_out with
-      | None -> Vapor_obs.Tracer.disabled
-      | Some _ -> Vapor_obs.Tracer.create ~wall:(not trace_deterministic) ()
-    in
-    let report = Service.replay_sharded ~stats ~tracer ~domains cfg trace in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Vapor_obs.Tracer.to_jsonl tracer);
-        close_out oc)
-      trace_out;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (if Filename.check_suffix path ".json" then Stats.to_json stats
-           else Stats.to_prometheus stats);
-        close_out oc)
-      metrics_out;
-    if json then print_string (Service.report_to_json report)
-    else begin
-      Printf.printf "serve-replay on %s (%s profile, hotness %d)\n"
-        target.Vapor_targets.Target.name profile.Profile.name hotness;
-      Service.print_report report;
-      Printf.printf "runtime metrics:\n%s" (Stats.to_table stats)
-    end
-  in
-  Cmd.v
-    (Cmd.info "serve-replay"
-       ~doc:
-         "Replay a seeded synthetic workload through the tiered runtime \
-          (interpreter -> JIT promotion, content-addressed code cache) and \
-          print throughput, amortized compile cost, and cache statistics.")
-    Term.(
-      const run $ target_arg $ profile_arg $ length_arg $ seed_arg
-      $ hotness_arg $ cache_entries_arg $ cache_bytes_arg $ rejuvenate_arg
-      $ rejuvenate_at_arg $ kernels_arg $ domains_arg $ engine_arg
-      $ json_arg $ trace_out_arg $ trace_det_arg $ metrics_out_arg
-      $ store_arg)
+(* --- serving: one front-end ----------------------------------------------
+   The five serving subcommands are presets over one engine.  A preset is
+   a workload source (the standard trace, a serve script, or a fleet
+   population), its header lines and its verdict; every preset builds its
+   runtime configuration with [service_config] / [serve_config] and runs
+   through the one [Service.replay] path or the one [Serve.run] path.
+   serve-replay and the plain replay mode of chaos-replay keep
+   [Service.replay]: it is the only path that runs shards on OS domains.
 
-let chaos_replay_cmd =
-  let length_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "length" ] ~docv:"N" ~doc:"Number of trace events to replay.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Seed for BOTH the trace and the fault injector: the same \
-                seed reproduces the same faults at the same trace points.")
-  in
-  let hotness_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "hotness" ] ~docv:"N"
-          ~doc:"Interpreter invocations before a kernel body is promoted \
-                to the JIT tier.")
-  in
-  let no_faults_arg =
-    Arg.(
-      value & flag
-      & info [ "no-faults" ]
-          ~doc:"Disable fault injection and the oracle entirely; the \
-                output is then byte-identical to serve-replay.")
-  in
-  let corrupt_rate_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "corrupt-rate" ] ~docv:"P"
-          ~doc:"Probability a cache-delivered body is corrupted.")
-  in
-  let compile_fault_rate_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "compile-fault-rate" ] ~docv:"P"
-          ~doc:"Probability a compile attempt takes an injected transient \
-                fault.")
-  in
-  let drop_simd_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "drop-simd-at" ] ~docv:"EVENT"
-          ~doc:"Trace event index at which the serving target loses SIMD \
-                capability (rejuvenates down to scalar).")
-  in
-  let oracle_every_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "oracle-every" ] ~docv:"N"
-          ~doc:"Differential-oracle sampling period in JIT runs (1 checks \
-                every run, guaranteeing zero escaped wrong outputs).")
-  in
-  let retry_budget_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "retry-budget" ] ~docv:"N"
-          ~doc:"Compile retry attempts against injected transient faults.")
-  in
-  let store_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Persistent code store to replay against (created if missing); \
-             combine with --store-corrupt-rate to exercise the \
-             disk-corruption path.")
-  in
-  let store_corrupt_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "store-corrupt-rate" ] ~docv:"P"
-          ~doc:
-            "Probability a persistent-store read comes back with mangled \
-             bytes; the store's checksum verification must detect it, \
-             quarantine the entry, and recompile.")
-  in
-  let streams_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "streams" ] ~docv:"N"
-          ~doc:
-            "Drive the chaos workload through the serving engine split \
-             across $(docv) streams (0 = plain replay).  Enables the \
-             serving-shaped faults below and extends the verdict with \
-             lost-event accounting.")
-  in
-  let stall_rate_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "stall-rate" ] ~docv:"P"
-          ~doc:
-            "Probability the consumer of a served response stalls, \
-             holding its lane (serving mode only).")
-  in
-  let disconnect_rate_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "disconnect-rate" ] ~docv:"P"
-          ~doc:
-            "Probability (per stream) of a mid-stream disconnect \
-             (serving mode only).")
-  in
-  let deadline_exhaust_rate_arg =
-    Arg.(
-      value & opt float 0.02
-      & info [ "deadline-exhaust-rate" ] ~docv:"P"
-          ~doc:
-            "Probability (per dispatched event) that its deadline budget \
-             is burned before execution (serving mode only).")
-  in
-  let run target profile length seed hotness no_faults corrupt_rate
-      compile_fault_rate drop_simd_at oracle_every retry_budget store_dir
-      store_corrupt_rate streams stall_rate disconnect_rate
-      deadline_exhaust_rate =
-    let target = resolve_target target in
-    let store = Option.map (open_store_or_die ~create:true) store_dir in
-    let trace = Trace.standard ~seed ~length ~n_targets:1 () in
-    let serving = streams > 0 in
-    let faults =
-      if no_faults then None
-      else
-        Some
-          (Vapor_runtime.Faults.make
-             {
-               Vapor_runtime.Faults.default_spec with
-               f_seed = seed;
-               f_corrupt_rate = corrupt_rate;
-               f_compile_fault_rate = compile_fault_rate;
-               f_max_transient = 2;
-               f_drop_simd_at = drop_simd_at;
-               f_store_corrupt_rate = store_corrupt_rate;
-               f_stall_rate = (if serving then stall_rate else 0.0);
-               f_disconnect_rate = (if serving then disconnect_rate else 0.0);
-               f_deadline_exhaust_rate =
-                 (if serving then deadline_exhaust_rate else 0.0);
-             })
-    in
-    let guard =
-      match faults with
-      | None -> Vapor_runtime.Tiered.no_guard
-      | Some f ->
-        {
-          Vapor_runtime.Tiered.g_oracle =
-            Some
-              {
-                Vapor_runtime.Tiered.op_first_run = true;
-                op_sample_every = max 1 oracle_every;
-              };
-          g_faults = Some f;
-          g_retry_budget = retry_budget;
-        }
-    in
-    let cfg =
-      {
-        (Service.default_config ~targets:[ target ]) with
-        Service.cfg_profile = profile;
-        cfg_hotness = hotness;
-        cfg_guard = guard;
-        cfg_drop_simd =
-          (if no_faults then None
-           else
-             Option.map (fun at -> at, Targets.find "scalar") drop_simd_at);
-        cfg_store = store;
-      }
-    in
-    let stats = Stats.create () in
-    if serving then begin
-      let wl = Workload.of_trace ~streams trace in
-      let serve_cfg = { (Serve.default_cfg cfg) with Serve.sv_faults = faults } in
-      let rep = Serve.run ~stats serve_cfg wl in
-      Printf.printf
-        "chaos-serve on %s (%s profile, hotness %d, seed %d, %d streams)\n"
-        target.Vapor_targets.Target.name profile.Profile.name hotness seed
-        streams;
-      if not no_faults then
-        Printf.printf
-          "  faults: corrupt %.2f, compile-fault %.2f, stall %.2f, \
-           disconnect %.2f, deadline-exhaust %.2f\n"
-          corrupt_rate compile_fault_rate stall_rate disconnect_rate
-          deadline_exhaust_rate;
-      Serve.print_report rep;
-      Printf.printf "runtime metrics:\n%s" (Stats.to_table stats);
-      let escaped =
-        rep.Serve.sr_service.Service.rp_oracle_mismatches
-        - rep.Serve.sr_service.Service.rp_quarantines
-      in
-      let mismatch_escape = Option.is_some faults && escaped > 0 in
-      if mismatch_escape || rep.Serve.sr_lost <> 0 then begin
-        Printf.printf
-          "chaos verdict: FAIL — %d mismatch(es) without quarantine, %d \
-           lost event(s) outside shedding/timeout/disconnect accounting\n"
-          (max 0 escaped) rep.Serve.sr_lost;
-        exit 1
-      end
-      else
-        Printf.printf
-          "chaos verdict: OK — every arrival accounted (%d answered, %d \
-           shed, %d timed out, %d disconnected, 0 lost, 0 wrong outputs)\n"
-          rep.Serve.sr_answered
-          (rep.Serve.sr_shed_ingress + rep.Serve.sr_shed_overload)
-          (rep.Serve.sr_deadline_misses + rep.Serve.sr_stream_deadline_misses
-         + rep.Serve.sr_injected_exhaustions)
-          rep.Serve.sr_disconnected
-    end
-    else begin
-      let report = Service.replay ~stats cfg trace in
-      (if no_faults then
-         (* No faults, no oracle: this IS a serve-replay, printed
-            byte-identically so the healthy path is provably unchanged. *)
-         Printf.printf "serve-replay on %s (%s profile, hotness %d)\n"
-           target.Vapor_targets.Target.name profile.Profile.name hotness
-       else begin
-         Printf.printf "chaos-replay on %s (%s profile, hotness %d, seed %d)\n"
-           target.Vapor_targets.Target.name profile.Profile.name hotness seed;
-         Printf.printf
-           "  faults: corrupt %.2f, compile-fault %.2f, drop-simd %s, \
-            oracle every %d run(s), retry budget %d\n"
-           corrupt_rate compile_fault_rate
-           (match drop_simd_at with
-           | Some at -> Printf.sprintf "@%d" at
-           | None -> "off")
-           (max 1 oracle_every) retry_budget;
-         if store_corrupt_rate > 0.0 then
-           Printf.printf "  store faults: corrupt %.2f on probe reads\n"
-             store_corrupt_rate
-       end);
-      Service.print_report report;
-      Printf.printf "runtime metrics:\n%s" (Stats.to_table stats);
-      match faults with
-      | None -> ()
-      | Some _ ->
-        let escaped =
-          report.Service.rp_oracle_mismatches - report.Service.rp_quarantines
-        in
-        if escaped > 0 then begin
-          Printf.printf
-            "chaos verdict: FAIL — %d mismatch(es) without quarantine\n"
-            escaped;
-          exit 1
-        end
-        else
-          Printf.printf
-            "chaos verdict: OK — every injected fault was absorbed \
-             (%d corrupted, %d injected compile faults, %d quarantines, \
-             %d retries, 0 wrong outputs)\n"
-            report.Service.rp_corrupted_bodies
-            report.Service.rp_injected_compile report.Service.rp_quarantines
-            report.Service.rp_retries
-    end
-  in
-  Cmd.v
-    (Cmd.info "chaos-replay"
-       ~doc:
-         "Replay the standard trace while deterministically injecting \
-          faults (corrupted cached bodies, transient compile failures, \
-          mid-trace SIMD loss) with the differential oracle checking \
-          every JIT run: the runtime must absorb every fault with zero \
-          wrong outputs.")
-    Term.(
-      const run $ target_arg $ profile_arg $ length_arg $ seed_arg
-      $ hotness_arg $ no_faults_arg $ corrupt_rate_arg
-      $ compile_fault_rate_arg $ drop_simd_arg $ oracle_every_arg
-      $ retry_budget_arg $ store_dir_arg $ store_corrupt_rate_arg
-      $ streams_arg $ stall_rate_arg $ disconnect_rate_arg
-      $ deadline_exhaust_rate_arg)
+   Every serving flag is declared once, below, together with the presets
+   that accept it, in one of five group terms (runtime, source, serving,
+   faults, outputs), each read by the builder that consumes it.  A preset
+   that does not accept a flag runs at the flag's default, which is also
+   the engine's own default — so each subcommand's surface is exactly its
+   flag list, and the shared builders never branch on which subcommand
+   called them. *)
 
-(* --- vaporc serve / serve-bench: the resilient serving layer ------------
-   Both drive the same deterministic virtual-time engine (lib/serve), so
-   CI needs no sockets: serve-bench synthesizes a multi-stream load from
-   the seeded trace generator; serve executes a line-based script (from
-   stdin or --script) describing streams and events. *)
+type preset =
+  | Replay  (** serve-replay *)
+  | Chaos  (** chaos-replay *)
+  | Bench  (** serve-bench *)
+  | Fleet  (** fleet-replay *)
+  | Script  (** serve *)
 
-let backlog_of n = if n <= 0 then None else Some n
+let all_presets = [ Replay; Chaos; Bench; Fleet; Script ]
+let trace_presets = [ Replay; Chaos; Bench; Fleet ]
+let serving_presets = [ Bench; Script ]
+
+let accepted_by presets term absent p =
+  if List.mem p presets then term else Term.const absent
+
+let option_flag ~for_ ?(check = fun ~flag:_ v -> v) name ~docv ~doc conv
+    default =
+  let arg = Arg.value (Arg.opt conv default (Arg.info [ name ] ~docv ~doc)) in
+  accepted_by for_ (Term.app (Term.const (check ~flag:name)) arg) default
+
+let switch_flag ~for_ name ~doc =
+  accepted_by for_ Arg.(value & flag & info [ name ] ~doc) false
+
+let rate_flag ~for_ name ~doc default =
+  option_flag ~for_ ~check:probability name ~docv:"P" ~doc Arg.float default
+
+(* The serving runtime: targets, profile, tiering, code cache, store. *)
+type runtime = {
+  target : string;
+  profile : Profile.t;
+  hotness : int;
+  store : string option;
+  engine : string;
+  cache_entries : int;
+  cache_bytes : int;
+  rejuvenate_to : string option;
+  rejuvenate_at : int;
+}
+
+let runtime_term p =
+  let open Term.Syntax in
+  let+ target = accepted_by [ Replay; Chaos; Bench; Script ] target_arg "sse" p
+  and+ profile = accepted_by all_presets profile_arg Profile.gcc4cli p
+  and+ hotness =
+    option_flag ~for_:all_presets "hotness" ~docv:"N"
+      ~doc:
+        "Interpreter invocations before a kernel body is promoted to the JIT \
+         tier."
+      Arg.int 3 p
+  and+ store =
+    option_flag ~for_:[ Replay; Chaos; Bench; Script ] "store" ~docv:"DIR"
+      ~doc:
+        "Persistent code store: in-memory cache misses probe $(docv) before \
+         compiling, and every compile publishes write-through, so a second run \
+         over the same workload performs zero JIT compiles.  Created if \
+         missing; combine with --store-corrupt-rate to exercise the \
+         disk-corruption path."
+      Arg.(some string) None p
+  and+ engine =
+    option_flag ~for_:[ Replay ] "engine" ~docv:"ENGINE"
+      ~doc:
+        "Execution engine: 'fast' (slot-compiled bodies and pre-resolved \
+         plans) or 'reference' (tree-walking interpreter and \
+         instruction-by-instruction simulator).  Reports are identical; only \
+         wall-clock differs."
+      Arg.string "fast" p
+  and+ cache_entries =
+    option_flag ~for_:[ Replay ] "cache-entries" ~docv:"N"
+      ~doc:"Code-cache entry budget (LRU beyond this)." Arg.int 64 p
+  and+ cache_bytes =
+    option_flag ~for_:[ Replay ] "cache-bytes" ~docv:"BYTES"
+      ~doc:"Code-cache modeled byte budget (LRU beyond this)." Arg.int
+      (256 * 1024) p
+  and+ rejuvenate_to =
+    option_flag ~for_:[ Replay ] "rejuvenate-to" ~docv:"TARGET"
+      ~doc:
+        "Mid-replay, re-lower all cached code from the primary target to \
+         $(docv) and redirect traffic (Revec-style rejuvenation)."
+      Arg.(some string) None p
+  and+ rejuvenate_at =
+    option_flag ~for_:[ Replay ] "rejuvenate-at" ~docv:"EVENT"
+      ~doc:"Trace event index at which rejuvenation fires." Arg.int 200 p
+  in
+  {
+    target; profile; hotness; store; engine; cache_entries; cache_bytes;
+    rejuvenate_to; rejuvenate_at;
+  }
+
+(* The workload source: the standard trace and its stream split, a serve
+   script, or a fleet population. *)
+type source = {
+  length : int;
+  seed : int;
+  kernels : string list option;
+  streams : int;
+  queue_cap : int;
+  policy : string;
+  deadline : int option;
+  stream_deadline : int option;
+  interval : int;
+  priority_levels : int;
+  script : string option;
+  machines : int;
+  fleet : int;
+  fleet_seed : int;
+  upgrade_at : int option;
+  drop_at : int option;
+}
+
+let source_term p =
+  let open Term.Syntax in
+  let+ length =
+    option_flag ~for_:trace_presets ~check:(at_least 0) "length" ~docv:"N"
+      ~doc:"Number of trace events to replay or serve." Arg.int 400 p
+  and+ seed =
+    option_flag ~for_:trace_presets "seed" ~docv:"N"
+      ~doc:
+        "Seed for the trace and for any fault injector: the same seed replays \
+         the same events and reproduces the same faults at the same trace \
+         points."
+      Arg.int 42 p
+  and+ kernels =
+    option_flag ~for_:[ Replay; Bench; Fleet ] "kernels" ~docv:"NAMES"
+      ~doc:
+        "Comma-separated suite kernels for the trace (default: the standard \
+         mix)."
+      Arg.(some (list string)) None p
+  and+ streams =
+    (* one declaration, two defaults: 0 keeps chaos-replay a plain replay *)
+    option_flag ~for_:[ Chaos; Bench; Fleet ] "streams" ~docv:"N"
+      ~doc:
+        "Concurrent ingress streams the trace is split across.  On \
+         chaos-replay the default 0 is the plain replay; $(docv) > 0 drives \
+         the chaos workload through the serving engine, enables the \
+         serving-shaped faults and extends the verdict with lost-event \
+         accounting."
+      Arg.int
+      (if p = Chaos then 0 else 4)
+      p
+  and+ queue_cap =
+    option_flag ~for_:[ Bench ] "queue-cap" ~docv:"N"
+      ~doc:"Per-stream ingress queue bound." Arg.int 16 p
+  and+ policy =
+    option_flag ~for_:[ Bench ] "policy" ~docv:"POLICY"
+      ~doc:
+        "Backpressure policy when a queue fills: 'block' (producer stalls) or \
+         'shed' (drop and account)."
+      Arg.string "block" p
+  and+ deadline =
+    option_flag ~for_:[ Bench ] "deadline" ~docv:"CYCLES"
+      ~doc:
+        "Per-event deadline: an event queued longer than $(docv) virtual \
+         cycles times out with its buffers untouched."
+      Arg.(some int) None p
+  and+ stream_deadline =
+    option_flag ~for_:[ Bench ] "stream-deadline" ~docv:"CYCLES"
+      ~doc:"Absolute virtual-cycle cutoff applied to every stream."
+      Arg.(some int) None p
+  and+ interval =
+    option_flag ~for_:[ Bench ] "interval" ~docv:"CYCLES"
+      ~doc:
+        "Virtual cycles between successive arrivals (0 floods everything at \
+         t=0 — the overload setting)."
+      Arg.int 0 p
+  and+ priority_levels =
+    option_flag ~for_:[ Bench ] "priority-levels" ~docv:"N"
+      ~doc:
+        "Spread streams across $(docv) priority levels; sheds hit the lowest \
+         priority first."
+      Arg.int 1 p
+  and+ script =
+    option_flag ~for_:[ Script ] "script" ~docv:"FILE"
+      ~doc:"Serve script to execute (default: read from stdin)."
+      Arg.(some file) None p
+  and+ machines =
+    option_flag ~for_:[ Fleet ] ~check:(at_least 1) "machines" ~docv:"N"
+      ~doc:"Fleet population size (seeded mix of the 7 archetypes)." Arg.int
+      12 p
+  and+ fleet =
+    option_flag ~for_:[ Script ] "fleet" ~docv:"N"
+      ~doc:
+        "Serve over a seeded heterogeneous fleet of $(docv) machines instead \
+         of one --target: scripted events spread round-robin across the \
+         population and runtime counters are labeled per resolved target (0 = \
+         off)."
+      Arg.int 0 p
+  and+ fleet_seed =
+    option_flag ~for_:[ Fleet; Script ] "fleet-seed" ~docv:"N"
+      ~doc:"Seed for the fleet population draw (independent of --seed)."
+      Arg.int 7 p
+  and+ upgrade_at =
+    option_flag ~for_:[ Fleet ] "upgrade-at" ~docv:"EVENT"
+      ~doc:
+        "Trace index at which SSE machines upgrade to AVX-512 and NEON \
+         machines to SVE (default: a third of the trace; -1 disables \
+         upgrades)."
+      Arg.(some int) None p
+  and+ drop_at =
+    option_flag ~for_:[ Fleet ] "drop-at" ~docv:"EVENT"
+      ~doc:
+        "Trace index at which AVX machines drop to scalar serving (default: no \
+         drop)."
+      Arg.(some int) None p
+  in
+  {
+    length; seed; kernels; streams; queue_cap; policy; deadline;
+    stream_deadline; interval; priority_levels; script; machines; fleet;
+    fleet_seed; upgrade_at; drop_at;
+  }
+
+(* The session pool and the serving engine. *)
+type serving = {
+  domains : int;
+  lanes : int;
+  budget : int;
+  backlog : int;
+  breaker_threshold : int;
+  breaker_cooldown : int;
+  max_batch : int;
+  batch_window : int;
+  checkpoint_every : int;
+  journal : string option;
+  restart_limit : int;
+  lane_stall_limit : int;
+}
+
+let serving_term p =
+  let open Term.Syntax in
+  let+ domains =
+    option_flag ~for_:[ Replay; Bench; Fleet; Script ] "domains" ~docv:"N"
+      ~doc:
+        "Shard the run across $(docv) session-pool shards (the trace is \
+         partitioned by kernel digest; the report is identical for any \
+         $(docv)).  serve-replay runs the shards on OCaml domains."
+      Arg.int 1 p
+  and+ lanes =
+    option_flag ~for_:serving_presets "lanes" ~docv:"N"
+      ~doc:"Concurrency lanes (virtual service slots)." Arg.int 2 p
+  and+ budget =
+    option_flag ~for_:serving_presets "budget" ~docv:"N"
+      ~doc:"Global in-flight admission budget." Arg.int 8 p
+  and+ backlog =
+    option_flag ~for_:serving_presets "backlog" ~docv:"N"
+      ~doc:
+        "Global queued-event watermark; above it the lowest-priority \
+         shed-policy queues are trimmed (0 = never trim)."
+      Arg.int 0 p
+  and+ breaker_threshold =
+    option_flag ~for_:serving_presets "breaker-threshold" ~docv:"N"
+      ~doc:
+        "Consecutive failures (mismatch, fault, or timeout) that open a \
+         kernel's circuit breaker."
+      Arg.int 3 p
+  and+ breaker_cooldown =
+    option_flag ~for_:serving_presets "breaker-cooldown" ~docv:"CYCLES"
+      ~doc:"Virtual cycles an open breaker dwells before its probe." Arg.int
+      1_000_000 p
+  and+ max_batch =
+    option_flag ~for_:serving_presets ~check:resolve_positive "max-batch"
+      ~docv:"N"
+      ~doc:
+        "Batch-formation cap: a per-kernel batch dispatches the moment it \
+         holds $(docv) events.  1 (the default) is the exact unbatched \
+         dispatch path."
+      Arg.int 1 p
+  and+ batch_window =
+    option_flag ~for_:serving_presets ~check:resolve_positive "batch-window"
+      ~docv:"CYCLES"
+      ~doc:
+        "Batch-formation window: an open batch closes after $(docv) virtual \
+         cycles, or earlier if a member deadline is at risk."
+      Arg.int 1024 p
+  and+ checkpoint_every =
+    option_flag ~for_:serving_presets "checkpoint-every" ~docv:"CYCLES"
+      ~doc:
+        "Shard-checkpoint period in virtual cycles (0 = only the initial \
+         checkpoint).  Any nonzero value turns the supervisor on."
+      Arg.int 0 p
+  and+ journal =
+    option_flag ~for_:serving_presets "journal" ~docv:"DIR"
+      ~doc:
+        "Mirror the write-ahead admission journal and checkpoint artifacts to \
+         $(docv) (created if missing); verify offline with 'vaporc journal \
+         verify'."
+      Arg.(some string) None p
+  and+ restart_limit =
+    option_flag ~for_:serving_presets "restart-limit" ~docv:"N"
+      ~doc:
+        "Restarts tolerated inside one backoff streak before a crashing shard \
+         degrades to interp-only serving (a further crash sheds it typed)."
+      Arg.int 3 p
+  and+ lane_stall_limit =
+    option_flag ~for_:serving_presets "lane-stall-limit" ~docv:"CYCLES"
+      ~doc:
+        "Virtual cycles a wedged lane may hold its members before the watchdog \
+         times them out."
+      Arg.int 8192 p
+  in
+  {
+    domains; lanes; budget; backlog; breaker_threshold; breaker_cooldown;
+    max_batch; batch_window; checkpoint_every; journal; restart_limit;
+    lane_stall_limit;
+  }
+
+(* Fault injection and the guard around it. *)
+type faults = {
+  no_faults : bool;
+  chaos : bool;
+  corrupt_rate : float;
+  compile_fault_rate : float;
+  store_corrupt_rate : float;
+  stall_rate : float;
+  disconnect_rate : float;
+  deadline_exhaust_rate : float;
+  crash_rate : float;
+  wedge_rate : float;
+  crash_seed : int;
+  drop_simd_at : int option;
+  oracle_every : int;
+  retry_budget : int;
+}
+
+let faults_term p =
+  let open Term.Syntax in
+  let+ no_faults =
+    switch_flag ~for_:[ Chaos ] "no-faults"
+      ~doc:
+        "Disable fault injection and the oracle entirely; the output is then \
+         byte-identical to serve-replay." p
+  and+ chaos =
+    switch_flag ~for_:[ Bench ] "chaos"
+      ~doc:
+        "Inject the serving chaos mix (corrupt bodies, transient compile \
+         faults, consumer stalls, disconnects, deadline exhaustion) with the \
+         differential oracle on." p
+  and+ corrupt_rate =
+    rate_flag ~for_:[ Chaos ] "corrupt-rate"
+      ~doc:"Probability a cache-delivered body is corrupted." 0.05 p
+  and+ compile_fault_rate =
+    rate_flag ~for_:[ Chaos ] "compile-fault-rate"
+      ~doc:"Probability a compile attempt takes an injected transient fault."
+      0.25 p
+  and+ store_corrupt_rate =
+    rate_flag ~for_:[ Chaos ] "store-corrupt-rate"
+      ~doc:
+        "Probability a persistent-store read comes back with mangled bytes; \
+         the store's checksum verification must detect it, quarantine the \
+         entry, and recompile."
+      0.0 p
+  and+ stall_rate =
+    rate_flag ~for_:[ Chaos ] "stall-rate"
+      ~doc:
+        "Probability the consumer of a served response stalls, holding its \
+         lane (serving mode only)."
+      0.05 p
+  and+ disconnect_rate =
+    rate_flag ~for_:[ Chaos ] "disconnect-rate"
+      ~doc:
+        "Probability (per stream) of a mid-stream disconnect (serving mode \
+         only)."
+      0.2 p
+  and+ deadline_exhaust_rate =
+    rate_flag ~for_:[ Chaos ] "deadline-exhaust-rate"
+      ~doc:
+        "Probability (per dispatched event) that its deadline budget is burned \
+         before execution (serving mode only)."
+      0.02 p
+  and+ crash_rate =
+    rate_flag ~for_:serving_presets "crash-rate"
+      ~doc:
+        "Per-dispatched-batch probability that the owning shard crashes, \
+         drawn from a dedicated stream seeded by --seed (--crash-seed on \
+         serve).  Any nonzero value turns the supervisor on; crashed shards \
+         are restored from their last checkpoint and the journal suffix \
+         replayed, so the drained report stays byte-identical to the \
+         crash-free run."
+      0.0 p
+  and+ wedge_rate =
+    rate_flag ~for_:[ Bench ] "wedge-rate"
+      ~doc:
+        "Per-dispatched-batch probability that the lane wedges without \
+         executing; the watchdog closes its members as typed timeouts after \
+         the lane-stall limit."
+      0.0 p
+  and+ crash_seed =
+    option_flag ~for_:[ Script ] "crash-seed" ~docv:"N"
+      ~doc:"Seed for the crash/wedge schedule." Arg.int 42 p
+  and+ drop_simd_at =
+    option_flag ~for_:[ Chaos ] "drop-simd-at" ~docv:"EVENT"
+      ~doc:
+        "Trace event index at which the serving target loses SIMD capability \
+         (rejuvenates down to scalar)."
+      Arg.(some int) None p
+  and+ oracle_every =
+    option_flag ~for_:[ Chaos ] "oracle-every" ~docv:"N"
+      ~doc:
+        "Differential-oracle sampling period in JIT runs (1 checks every run, \
+         guaranteeing zero escaped wrong outputs)."
+      Arg.int 1 p
+  and+ retry_budget =
+    option_flag ~for_:[ Chaos ] "retry-budget" ~docv:"N"
+      ~doc:"Compile retry attempts against injected transient faults." Arg.int
+      3 p
+  in
+  {
+    no_faults; chaos; corrupt_rate; compile_fault_rate; store_corrupt_rate;
+    stall_rate; disconnect_rate; deadline_exhaust_rate; crash_rate;
+    wedge_rate; crash_seed; drop_simd_at; oracle_every; retry_budget;
+  }
+
+(* What a run writes besides its report. *)
+type outputs = {
+  metrics : string option;
+  trace : string option;
+  trace_deterministic : bool;
+  json : bool;
+}
+
+let outputs_term p =
+  let open Term.Syntax in
+  let+ metrics =
+    option_flag ~for_:[ Replay; Bench; Fleet; Script ] "metrics" ~docv:"FILE"
+      ~doc:
+        "Export the metrics registry (counters, histograms, observability \
+         gauges, and the serve.* gauges and per-target counters where the run \
+         has them) to $(docv): Prometheus text format, or JSON when $(docv) \
+         ends in .json."
+      Arg.(some string) None p
+  and+ trace =
+    option_flag ~for_:[ Replay; Bench ] "trace" ~docv:"FILE"
+      ~doc:
+        "Write a structured span trace of the run to $(docv) as JSONL: one \
+         replay_event root span per executed event (plus a batch_dispatch \
+         marker per dispatched batch when serving), with \
+         cache_lookup/compile/exec/oracle child spans and pipeline-stage leaf \
+         spans beneath it.  The report is byte-identical with and without \
+         tracing."
+      Arg.(some string) None p
+  and+ trace_deterministic =
+    switch_flag ~for_:[ Replay; Bench ] "trace-deterministic"
+      ~doc:
+        "Omit wall-clock fields from the span trace, leaving only the \
+         deterministic ordinal clock — the trace is then byte-identical for \
+         any --domains value." p
+  and+ json =
+    switch_flag ~for_:[ Replay; Fleet ] "json"
+      ~doc:"Print the report as JSON instead of the text tables." p
+  in
+  { metrics; trace; trace_deterministic; json }
+
+(* --- the shared builders ------------------------------------------------- *)
+
+let resolve_kernels =
+  Option.map (List.map (fun n -> (resolve_kernel n).Suite.name))
 
 let resolve_policy name =
   match Ingress.policy_of_string name with
   | Some p -> p
   | None -> die_unknown ~what:"policy" ~given:name ~valid:[ "block"; "shed" ]
 
-let serve_verdict (rep : Serve.report) ~chaos =
-  let escaped =
-    rep.Serve.sr_service.Service.rp_oracle_mismatches
-    - rep.Serve.sr_service.Service.rp_quarantines
+let standard_trace src ~n_targets =
+  Trace.standard ~seed:src.seed ?kernels:(resolve_kernels src.kernels)
+    ~length:src.length ~n_targets ()
+
+let trace_workload src trace =
+  Workload.of_trace ~streams:src.streams ~policy:(resolve_policy src.policy)
+    ~queue_cap:src.queue_cap ?deadline:src.deadline
+    ?stream_deadline:src.stream_deadline ~interval:src.interval
+    ~priority_levels:src.priority_levels trace
+
+(* The fault injector a run's flags ask for, and the guard around it.
+   [chaos] injects the full mix with the differential oracle on (the
+   serving-shaped rates only when [serving]).  Otherwise a nonzero
+   --crash-rate or --wedge-rate builds a crash-only injector: every
+   primary-stream rate stays zero, so the run draws nothing but the
+   dedicated crash/wedge stream, and with no oracle its recovered report
+   is byte-identical to an injector-free baseline. *)
+let injector flt ~chaos ~serving ~seed =
+  let crash_only =
+    {
+      Faults.default_spec with
+      Faults.f_seed = seed;
+      f_shard_crash_rate = flt.crash_rate;
+      f_lane_wedge_rate = flt.wedge_rate;
+    }
   in
+  let serving_rate r = if serving then r else 0.0 in
+  let spec =
+    if chaos then
+      Some
+        {
+          crash_only with
+          Faults.f_corrupt_rate = flt.corrupt_rate;
+          f_compile_fault_rate = flt.compile_fault_rate;
+          f_drop_simd_at = flt.drop_simd_at;
+          f_store_corrupt_rate = flt.store_corrupt_rate;
+          f_stall_rate = serving_rate flt.stall_rate;
+          f_disconnect_rate = serving_rate flt.disconnect_rate;
+          f_deadline_exhaust_rate = serving_rate flt.deadline_exhaust_rate;
+        }
+    else if flt.crash_rate > 0.0 || flt.wedge_rate > 0.0 then Some crash_only
+    else None
+  in
+  let faults = Option.map Faults.make spec in
+  let guard =
+    match faults with
+    | None -> Tiered.no_guard
+    | Some f ->
+      {
+        Tiered.g_oracle =
+          (if chaos then
+             Some
+               {
+                 Tiered.op_first_run = true;
+                 op_sample_every = max 1 flt.oracle_every;
+               }
+           else None);
+        g_faults = Some f;
+        g_retry_budget = flt.retry_budget;
+      }
+  in
+  faults, guard
+
+(* The one builder of [Service.config]; opens the --store. *)
+let service_config ?(retargets = []) ?(label_targets = false) ?drop_simd_at
+    rt ~targets ~guard =
+  let store = Option.map (open_store_or_die ~create:true) rt.store in
+  let engine =
+    match Tiered.engine_of_string rt.engine with
+    | Some e -> e
+    | None ->
+      die_unknown ~what:"engine" ~given:rt.engine ~valid:[ "fast"; "reference" ]
+  in
+  {
+    (Service.default_config ~targets) with
+    Service.cfg_profile = rt.profile;
+    cfg_hotness = rt.hotness;
+    cfg_max_entries = rt.cache_entries;
+    cfg_max_bytes = rt.cache_bytes;
+    (* only serve-replay rejuvenates, from its one target *)
+    cfg_rejuvenate =
+      Option.map
+        (fun name -> rt.rejuvenate_at, List.hd targets, resolve_target name)
+        rt.rejuvenate_to;
+    cfg_retargets = retargets;
+    cfg_guard = guard;
+    cfg_drop_simd =
+      Option.map (fun at -> at, Targets.find "scalar") drop_simd_at;
+    cfg_label_targets = label_targets;
+    cfg_engine = engine;
+    cfg_store = store;
+  }
+
+(* The one builder of [Serve.cfg]. *)
+let serve_config srv service ~faults =
+  {
+    (Serve.default_cfg service) with
+    Serve.sv_domains = srv.domains;
+    sv_lanes = srv.lanes;
+    sv_budget = srv.budget;
+    sv_backlog = (if srv.backlog <= 0 then None else Some srv.backlog);
+    sv_faults = faults;
+    sv_breaker_threshold = srv.breaker_threshold;
+    sv_breaker_cooldown = srv.breaker_cooldown;
+    sv_max_batch = srv.max_batch;
+    sv_batch_window = srv.batch_window;
+    sv_checkpoint_every = srv.checkpoint_every;
+    sv_journal_dir = srv.journal;
+    sv_restart_limit = srv.restart_limit;
+    sv_lane_stall_limit = srv.lane_stall_limit;
+  }
+
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
+(* Run one engine path with a fresh registry and the tracer --trace asks
+   for, then write the --trace and --metrics files. *)
+let with_exports out run =
+  let stats = Stats.create () in
+  let tracer =
+    match out.trace with
+    | None -> Vapor_obs.Tracer.disabled
+    | Some _ -> Vapor_obs.Tracer.create ~wall:(not out.trace_deterministic) ()
+  in
+  let result = run ~stats ~tracer in
+  Option.iter
+    (fun path -> write_file path (Vapor_obs.Tracer.to_jsonl tracer))
+    out.trace;
+  Option.iter
+    (fun path ->
+      write_file path
+        (if Filename.check_suffix path ".json" then Stats.to_json stats
+         else Stats.to_prometheus stats))
+    out.metrics;
+  stats, result
+
+(* The two engine paths every preset runs through. *)
+let replay srv out cfg trace =
+  with_exports out (fun ~stats ~tracer ->
+      Service.replay ~stats ~tracer ~domains:srv.domains cfg trace)
+
+let serve srv out cfg ~faults wl =
+  with_exports out (fun ~stats ~tracer ->
+      Serve.run ~stats ~tracer (serve_config srv cfg ~faults) wl)
+
+let print_header name (target : Vapor_targets.Target.t) rt extra =
+  Printf.printf "%s on %s (%s profile, hotness %d%s)\n" name
+    target.Vapor_targets.Target.name rt.profile.Profile.name rt.hotness extra
+
+let print_runtime_metrics stats =
+  Printf.printf "runtime metrics:\n%s" (Stats.to_table stats)
+
+let escaped_mismatches (rp : Service.report) =
+  rp.Service.rp_oracle_mismatches - rp.Service.rp_quarantines
+
+(* The serving verdict: exit 1 on an escaped mismatch (when [chaos]) or on
+   any arrival lost outside the typed outcomes. *)
+let serve_verdict ?(name = "serve") ?(lost_note = "") ?(ok_note = "")
+    (rep : Serve.report) ~chaos =
+  let escaped = escaped_mismatches rep.Serve.sr_service in
   if (chaos && escaped > 0) || rep.Serve.sr_lost <> 0 then begin
     Printf.printf
-      "serve verdict: FAIL — %d mismatch(es) without quarantine, %d lost \
-       event(s)\n"
-      (max 0 escaped) rep.Serve.sr_lost;
+      "%s verdict: FAIL — %d mismatch(es) without quarantine, %d lost \
+       event(s)%s\n"
+      name (max 0 escaped) rep.Serve.sr_lost lost_note;
     exit 1
   end
   else
     Printf.printf
-      "serve verdict: OK — every arrival accounted (%d answered, %d shed, \
-       %d timed out, %d disconnected, 0 lost)\n"
-      rep.Serve.sr_answered
+      "%s verdict: OK — every arrival accounted (%d answered, %d shed, %d \
+       timed out, %d disconnected, 0 lost%s)\n"
+      name rep.Serve.sr_answered
       (rep.Serve.sr_shed_ingress + rep.Serve.sr_shed_overload
      + rep.Serve.sr_crash_shed)
       (rep.Serve.sr_deadline_misses + rep.Serve.sr_stream_deadline_misses
      + rep.Serve.sr_injected_exhaustions + rep.Serve.sr_lane_stalls)
-      rep.Serve.sr_disconnected
-
-let serve_bench_cmd =
-  let length_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "length" ] ~docv:"N" ~doc:"Number of trace events to serve.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Seed for the trace and (under --chaos) the fault injector.")
-  in
-  let hotness_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "hotness" ] ~docv:"N"
-          ~doc:"Interpreter invocations before JIT promotion.")
-  in
-  let kernels_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "kernels" ] ~docv:"NAMES"
-          ~doc:"Comma-separated suite kernels (default: the standard mix).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Session-pool shards; the report is identical for any N.")
-  in
-  let streams_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "streams" ] ~docv:"N"
-          ~doc:"Concurrent ingress streams the trace is split across.")
-  in
-  let lanes_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "lanes" ] ~docv:"N"
-          ~doc:"Concurrency lanes (virtual service slots).")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"Global in-flight admission budget.")
-  in
-  let backlog_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "backlog" ] ~docv:"N"
-          ~doc:
-            "Global queued-event watermark; above it the lowest-priority \
-             shed-policy queues are trimmed (0 = never trim).")
-  in
-  let queue_cap_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "queue-cap" ] ~docv:"N" ~doc:"Per-stream ingress queue bound.")
-  in
-  let policy_arg =
-    Arg.(
-      value & opt string "block"
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:
-            "Backpressure policy when a queue fills: 'block' (producer \
-             stalls) or 'shed' (drop and account).")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:
-            "Per-event deadline: an event queued longer than $(docv) \
-             virtual cycles times out with its buffers untouched.")
-  in
-  let stream_deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stream-deadline" ] ~docv:"CYCLES"
-          ~doc:"Absolute virtual-cycle cutoff applied to every stream.")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "interval" ] ~docv:"CYCLES"
-          ~doc:
-            "Virtual cycles between successive arrivals (0 floods \
-             everything at t=0 — the overload setting).")
-  in
-  let priority_levels_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "priority-levels" ] ~docv:"N"
-          ~doc:
-            "Spread streams across $(docv) priority levels; sheds hit the \
-             lowest priority first.")
-  in
-  let breaker_threshold_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "breaker-threshold" ] ~docv:"N"
-          ~doc:
-            "Consecutive failures (mismatch, fault, or timeout) that open \
-             a kernel's circuit breaker.")
-  in
-  let breaker_cooldown_arg =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "breaker-cooldown" ] ~docv:"CYCLES"
-          ~doc:"Virtual cycles an open breaker dwells before its probe.")
-  in
-  let max_batch_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "max-batch" ] ~docv:"N"
-          ~doc:
-            "Batch-formation cap: a per-kernel batch dispatches the moment \
-             it holds $(docv) events.  1 (the default) is the exact \
-             unbatched dispatch path.")
-  in
-  let batch_window_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "batch-window" ] ~docv:"CYCLES"
-          ~doc:
-            "Batch-formation window: an open batch closes after $(docv) \
-             virtual cycles, or earlier if a member deadline is at risk.")
-  in
-  let chaos_arg =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Inject the serving chaos mix (corrupt bodies, transient \
-             compile faults, consumer stalls, disconnects, deadline \
-             exhaustion) with the differential oracle on.")
-  in
-  let crash_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "crash-rate" ] ~docv:"P"
-          ~doc:
-            "Per-dispatched-batch probability that the owning shard \
-             crashes (drawn from a dedicated seeded stream).  Any \
-             nonzero value turns the supervisor on; crashed shards are \
-             restored from their last checkpoint and the journal suffix \
-             replayed, so the drained report stays byte-identical to \
-             the crash-free run.")
-  in
-  let wedge_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "wedge-rate" ] ~docv:"P"
-          ~doc:
-            "Per-dispatched-batch probability that the lane wedges \
-             without executing; the watchdog closes its members as \
-             typed timeouts after the lane-stall limit.")
-  in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"CYCLES"
-          ~doc:
-            "Shard-checkpoint period in virtual cycles (0 = only the \
-             initial checkpoint).  Any nonzero value turns the \
-             supervisor on.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:
-            "Mirror the write-ahead admission journal and checkpoint \
-             artifacts to $(docv) (created if missing); verify offline \
-             with 'vaporc journal verify'.")
-  in
-  let restart_limit_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "restart-limit" ] ~docv:"N"
-          ~doc:
-            "Restarts tolerated inside one backoff streak before a \
-             crashing shard degrades to interp-only serving (a further \
-             crash sheds it typed).")
-  in
-  let lane_stall_limit_arg =
-    Arg.(
-      value & opt int 8192
-      & info [ "lane-stall-limit" ] ~docv:"CYCLES"
-          ~doc:
-            "Virtual cycles a wedged lane may hold its members before \
-             the watchdog times them out.")
-  in
-  let store_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:"Persistent code store (created if missing).")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Export the metrics registry (including serve.* gauges) to \
-             $(docv): Prometheus text format, or JSON when $(docv) ends \
-             in .json.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a structured span trace of the serve run to $(docv) as \
-             JSONL: one replay_event root span per answered event (plus a \
-             batch_dispatch marker per dispatched batch), with runtime \
-             child spans beneath.  The serve report is byte-identical \
-             with and without tracing.")
-  in
-  let trace_det_arg =
-    Arg.(
-      value & flag
-      & info [ "trace-deterministic" ]
-          ~doc:
-            "Omit wall-clock fields from the span trace, leaving only the \
-             deterministic ordinal clock.")
-  in
-  let run target profile length seed hotness kernels domains streams lanes
-      budget backlog queue_cap policy deadline stream_deadline interval
-      priority_levels breaker_threshold breaker_cooldown max_batch
-      batch_window chaos crash_rate wedge_rate checkpoint_every journal_dir
-      restart_limit lane_stall_limit store_dir metrics_out trace_out
-      trace_deterministic =
-    let target = resolve_target target in
-    let policy = resolve_policy policy in
-    let max_batch = resolve_positive ~flag:"max-batch" max_batch in
-    let batch_window = resolve_positive ~flag:"batch-window" batch_window in
-    let store = Option.map (open_store_or_die ~create:true) store_dir in
-    let kernels =
-      Option.map (List.map (fun n -> (resolve_kernel n).Suite.name)) kernels
-    in
-    let trace = Trace.standard ~seed ?kernels ~length ~n_targets:1 () in
-    let faults =
-      if chaos then
-        let sp = Vapor_runtime.Faults.serve_chaos_spec ~seed in
-        Some
-          (Vapor_runtime.Faults.make
-             {
-               sp with
-               Vapor_runtime.Faults.f_shard_crash_rate = crash_rate;
-               f_lane_wedge_rate = wedge_rate;
-             })
-      else if crash_rate > 0.0 || wedge_rate > 0.0 then
-        (* Crash-only injector: every primary-stream rate stays zero, so
-           the run draws nothing but the dedicated crash/wedge stream
-           and its recovered report is byte-identical to an injector-
-           free baseline. *)
-        Some
-          (Vapor_runtime.Faults.make
-             {
-               Vapor_runtime.Faults.default_spec with
-               Vapor_runtime.Faults.f_seed = seed;
-               f_shard_crash_rate = crash_rate;
-               f_lane_wedge_rate = wedge_rate;
-             })
-      else None
-    in
-    let guard =
-      match faults with
-      | None -> Vapor_runtime.Tiered.no_guard
-      | Some f when chaos ->
-        {
-          Vapor_runtime.Tiered.g_oracle = Some Vapor_runtime.Tiered.oracle_always;
-          g_faults = Some f;
-          g_retry_budget = 3;
-        }
-      | Some f ->
-        (* no oracle: the crash-only guard must not change the report *)
-        { Vapor_runtime.Tiered.no_guard with Vapor_runtime.Tiered.g_faults = Some f }
-    in
-    let cfg =
-      {
-        (Service.default_config ~targets:[ target ]) with
-        Service.cfg_profile = profile;
-        cfg_hotness = hotness;
-        cfg_guard = guard;
-        cfg_store = store;
-      }
-    in
-    let serve_cfg =
-      {
-        Serve.sv_service = cfg;
-        sv_domains = domains;
-        sv_lanes = lanes;
-        sv_budget = budget;
-        sv_backlog = backlog_of backlog;
-        sv_faults = faults;
-        sv_breaker_threshold = breaker_threshold;
-        sv_breaker_cooldown = breaker_cooldown;
-        sv_max_batch = max_batch;
-        sv_batch_window = batch_window;
-        sv_checkpoint_every = checkpoint_every;
-        sv_journal_dir = journal_dir;
-        sv_restart_limit = restart_limit;
-        sv_lane_stall_limit = lane_stall_limit;
-        sv_crash_at = [];
-        sv_wedge_at = [];
-      }
-    in
-    let wl =
-      Workload.of_trace ~streams ~policy ~queue_cap ?deadline
-        ?stream_deadline ~interval ~priority_levels trace
-    in
-    let stats = Stats.create () in
-    let tracer =
-      match trace_out with
-      | None -> Vapor_obs.Tracer.disabled
-      | Some _ -> Vapor_obs.Tracer.create ~wall:(not trace_deterministic) ()
-    in
-    let rep = Serve.run ~stats ~tracer serve_cfg wl in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Vapor_obs.Tracer.to_jsonl tracer);
-        close_out oc)
-      trace_out;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (if Filename.check_suffix path ".json" then Stats.to_json stats
-           else Stats.to_prometheus stats);
-        close_out oc)
-      metrics_out;
-    Printf.printf "serve-bench on %s (%s profile, hotness %d, seed %d)\n"
-      target.Vapor_targets.Target.name profile.Profile.name hotness seed;
-    Serve.print_report rep;
-    Printf.printf "runtime metrics:\n%s" (Stats.to_table stats);
-    serve_verdict rep ~chaos
-  in
-  Cmd.v
-    (Cmd.info "serve-bench"
-       ~doc:
-         "Drive a deterministic multi-stream load through the serving \
-          layer (bounded ingress queues, admission budget, deadlines, \
-          per-kernel circuit breakers, graceful drain) entirely \
-          in-process over virtual time — no sockets, byte-identical \
-          output per seed and flags.")
-    Term.(
-      const run $ target_arg $ profile_arg $ length_arg $ seed_arg
-      $ hotness_arg $ kernels_arg $ domains_arg $ streams_arg $ lanes_arg
-      $ budget_arg $ backlog_arg $ queue_cap_arg $ policy_arg
-      $ deadline_arg $ stream_deadline_arg $ interval_arg
-      $ priority_levels_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-      $ max_batch_arg $ batch_window_arg $ chaos_arg $ crash_rate_arg
-      $ wedge_rate_arg $ checkpoint_every_arg $ journal_arg
-      $ restart_limit_arg $ lane_stall_limit_arg $ store_arg
-      $ metrics_out_arg $ trace_out_arg $ trace_det_arg)
+      rep.Serve.sr_disconnected ok_note
 
 (* The serve script language, one directive per line ('#' comments):
 
@@ -1517,450 +1330,229 @@ let print_target_counters (stats : Stats.t) =
       rows
   end
 
-let fleet_replay_cmd =
-  let machines_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "machines" ] ~docv:"N"
-          ~doc:"Fleet population size (seeded mix of the 7 archetypes).")
-  in
-  let fleet_seed_arg =
-    Arg.(
-      value & opt int 7
-      & info [ "fleet-seed" ] ~docv:"N"
-          ~doc:"Seed for the population draw (independent of --seed).")
-  in
-  let upgrade_at_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "upgrade-at" ] ~docv:"EVENT"
-          ~doc:
-            "Trace index at which SSE machines upgrade to AVX-512 and \
-             NEON machines to SVE (default: a third of the trace; -1 \
-             disables upgrades).")
-  in
-  let drop_at_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "drop-at" ] ~docv:"EVENT"
-          ~doc:
-            "Trace index at which AVX machines drop to scalar serving \
-             (default: no drop).")
-  in
-  let length_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "length" ] ~docv:"N" ~doc:"Trace length in events.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"Trace seed.")
-  in
-  let hotness_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "hotness" ] ~docv:"N"
-          ~doc:"Interpreter invocations before JIT promotion.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Session-pool shards; the drain report is identical for any N.")
-  in
-  let streams_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "streams" ] ~docv:"N" ~doc:"Ingress streams.")
-  in
-  let kernels_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "kernels" ] ~docv:"NAMES"
-          ~doc:"Comma-separated kernel subset (default: the standard mix).")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Export the metrics registry (including the per-target \
-             counters) to $(docv): Prometheus text, or JSON for .json \
-             paths.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the service report as JSON instead.")
-  in
-  let run profile machines fleet_seed upgrade_at drop_at length seed hotness
-      domains streams kernels metrics_out json =
-    let population = fleet_population ~seed:fleet_seed ~machines in
-    let upgrade_at =
-      match upgrade_at with
-      | Some at when at < 0 -> None
-      | Some at -> Some at
-      | None -> Some (length / 3)
-    in
-    let kernels =
-      Option.map (List.map (fun n -> (resolve_kernel n).Suite.name)) kernels
-    in
-    let trace =
-      Trace.standard ~seed ?kernels ~length ~n_targets:machines ()
-    in
-    let cfg =
-      {
-        (Service.default_config ~targets:population) with
-        Service.cfg_profile = profile;
-        cfg_hotness = hotness;
-        cfg_retargets = fleet_retargets ~upgrade_at ~drop_at;
-        cfg_label_targets = true;
-      }
-    in
-    let serve_cfg =
-      {
-        Serve.sv_service = cfg;
-        sv_domains = domains;
-        sv_lanes = 2;
-        sv_budget = 8;
-        sv_backlog = backlog_of 0;
-        sv_faults = None;
-        sv_breaker_threshold = 3;
-        sv_breaker_cooldown = 1_000_000;
-        sv_max_batch = 1;
-        sv_batch_window = 1024;
-        sv_checkpoint_every = 0;
-        sv_journal_dir = None;
-        sv_restart_limit = 3;
-        sv_lane_stall_limit = 8192;
-        sv_crash_at = [];
-        sv_wedge_at = [];
-      }
-    in
-    let wl = Workload.of_trace ~streams trace in
-    let stats = Stats.create () in
-    let rep = Serve.run ~stats serve_cfg wl in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (if Filename.check_suffix path ".json" then Stats.to_json stats
-           else Stats.to_prometheus stats);
-        close_out oc)
-      metrics_out;
-    if json then print_string (Service.report_to_json rep.Serve.sr_service)
-    else begin
-      Printf.printf
-        "fleet-replay: %d machines [%s], %d events (seed %d, %s profile)\n"
-        machines (fleet_describe population) length seed profile.Profile.name;
-      (match upgrade_at with
-      | Some at ->
-        Printf.printf
-          "  upgrades at event %d: sse -> avx512, neon -> sve\n" at
-      | None -> ());
-      (match drop_at with
-      | Some at -> Printf.printf "  drop at event %d: avx -> scalar\n" at
-      | None -> ());
-      Serve.print_report rep;
-      print_target_counters stats
-    end;
-    serve_verdict rep ~chaos:false
-  in
-  Cmd.v
-    (Cmd.info "fleet-replay"
-       ~doc:
-         "Drive one vectorized bytecode stream through a seeded \
-          heterogeneous fleet of scalar/SSE/AVX/NEON/AltiVec/SVE/AVX-512 \
-          machines, with mid-trace capability upgrades (SSE to AVX-512, \
-          NEON to SVE) rejuvenating cached code, per-target labeled \
-          metrics, and the serving layer's conservation checks.")
-    Term.(
-      const run $ profile_arg $ machines_arg $ fleet_seed_arg
-      $ upgrade_at_arg $ drop_at_arg $ length_arg $ seed_arg $ hotness_arg
-      $ domains_arg $ streams_arg $ kernels_arg $ metrics_out_arg $ json_arg)
+(* --- the presets ---------------------------------------------------------- *)
 
-let serve_cmd =
-  let script_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "script" ] ~docv:"FILE"
-          ~doc:"Serve script to execute (default: read from stdin).")
+let serve_replay rt src srv _flt out =
+  let target = resolve_target rt.target in
+  let cfg = service_config rt ~targets:[ target ] ~guard:Tiered.no_guard in
+  let stats, report = replay srv out cfg (standard_trace src ~n_targets:1) in
+  if out.json then print_string (Service.report_to_json report)
+  else begin
+    print_header "serve-replay" target rt "";
+    Service.print_report report;
+    print_runtime_metrics stats
+  end
+
+let chaos_replay rt src srv flt out =
+  let target = resolve_target rt.target in
+  let chaos = not flt.no_faults and serving = src.streams > 0 in
+  let faults, guard = injector flt ~chaos ~serving ~seed:src.seed in
+  let cfg =
+    service_config rt ~targets:[ target ] ~guard
+      ?drop_simd_at:(if chaos then flt.drop_simd_at else None)
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Session-pool shards; the report is identical for any N.")
-  in
-  let lanes_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "lanes" ] ~docv:"N" ~doc:"Concurrency lanes.")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "budget" ] ~docv:"N" ~doc:"Global in-flight admission budget.")
-  in
-  let backlog_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "backlog" ] ~docv:"N"
-          ~doc:"Global backlog watermark (0 = never trim).")
-  in
-  let hotness_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "hotness" ] ~docv:"N"
-          ~doc:"Interpreter invocations before JIT promotion.")
-  in
-  let breaker_threshold_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "breaker-threshold" ] ~docv:"N"
-          ~doc:"Consecutive failures that open a kernel's breaker.")
-  in
-  let breaker_cooldown_arg =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "breaker-cooldown" ] ~docv:"CYCLES"
-          ~doc:"Virtual cycles an open breaker dwells before its probe.")
-  in
-  let max_batch_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "max-batch" ] ~docv:"N"
-          ~doc:
-            "Batch-formation cap (1, the default, is the exact unbatched \
-             dispatch path).")
-  in
-  let batch_window_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "batch-window" ] ~docv:"CYCLES"
-          ~doc:"Batch-formation window in virtual cycles.")
-  in
-  let store_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:"Persistent code store (created if missing).")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Export the metrics registry (including serve.* gauges) to \
-             $(docv): Prometheus text, or JSON for .json paths.")
-  in
-  let crash_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "crash-rate" ] ~docv:"P"
-          ~doc:
-            "Per-dispatched-batch shard-crash probability (seeded from \
-             --crash-seed); recovery keeps the drain report \
-             byte-identical to the crash-free run.")
-  in
-  let crash_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "crash-seed" ] ~docv:"N"
-          ~doc:"Seed for the crash/wedge schedule.")
-  in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"CYCLES"
-          ~doc:
-            "Shard-checkpoint period in virtual cycles (0 = only the \
-             initial checkpoint); any nonzero value turns the \
-             supervisor on.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:
-            "Mirror the write-ahead admission journal and checkpoint \
-             artifacts to $(docv) (created if missing).")
-  in
-  let restart_limit_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "restart-limit" ] ~docv:"N"
-          ~doc:
-            "Restarts tolerated inside one backoff streak before a \
-             crashing shard degrades to interp-only serving.")
-  in
-  let lane_stall_limit_arg =
-    Arg.(
-      value & opt int 8192
-      & info [ "lane-stall-limit" ] ~docv:"CYCLES"
-          ~doc:
-            "Virtual cycles a wedged lane may hold its members before \
-             the watchdog times them out.")
-  in
-  let fleet_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "fleet" ] ~docv:"N"
-          ~doc:
-            "Serve over a seeded heterogeneous fleet of $(docv) machines \
-             instead of one --target: scripted events spread round-robin \
-             across the population and runtime counters are labeled per \
-             resolved target (0 = off).")
-  in
-  let fleet_seed_arg =
-    Arg.(
-      value & opt int 7
-      & info [ "fleet-seed" ] ~docv:"N"
-          ~doc:"Seed for the --fleet population draw.")
-  in
-  let run target profile script domains lanes budget backlog hotness
-      breaker_threshold breaker_cooldown max_batch batch_window store_dir
-      metrics_out crash_rate crash_seed checkpoint_every journal_dir
-      restart_limit lane_stall_limit fleet fleet_seed =
-    let target = resolve_target target in
-    let max_batch = resolve_positive ~flag:"max-batch" max_batch in
-    let batch_window = resolve_positive ~flag:"batch-window" batch_window in
-    let store = Option.map (open_store_or_die ~create:true) store_dir in
-    let lines =
-      match script with
-      | Some path ->
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let src = really_input_string ic n in
-        close_in ic;
-        String.split_on_char '\n' src
-      | None ->
-        let rec read acc =
-          match input_line stdin with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        read []
-    in
-    let wl = parse_serve_script lines in
-    if Array.length wl.Workload.wl_arrivals = 0 then begin
-      Printf.eprintf "vaporc serve: the script contains no events\n";
-      exit 2
-    end;
-    let faults =
-      if crash_rate > 0.0 then
-        (* Crash-only injector (no oracle, every primary rate zero): the
-           report stays byte-identical to the crash-free run. *)
-        Some
-          (Vapor_runtime.Faults.make
-             {
-               Vapor_runtime.Faults.default_spec with
-               Vapor_runtime.Faults.f_seed = crash_seed;
-               f_shard_crash_rate = crash_rate;
-             })
-      else None
-    in
-    let guard =
-      match faults with
-      | None -> Vapor_runtime.Tiered.no_guard
-      | Some f ->
-        { Vapor_runtime.Tiered.no_guard with Vapor_runtime.Tiered.g_faults = Some f }
-    in
-    let population =
-      if fleet > 0 then fleet_population ~seed:fleet_seed ~machines:fleet
-      else [ target ]
-    in
-    let wl =
-      (* Scripted events all carry ev_target = 0; a fleet spreads them
-         round-robin (by global arrival sequence) over the population so
-         every machine archetype serves traffic. *)
-      if fleet <= 0 then wl
-      else
-        {
-          wl with
-          Workload.wl_arrivals =
-            Array.map
-              (fun a ->
-                {
-                  a with
-                  Workload.ar_event =
-                    {
-                      a.Workload.ar_event with
-                      Trace.ev_target = a.Workload.ar_seq mod fleet;
-                    };
-                })
-              wl.Workload.wl_arrivals;
-        }
-    in
-    let cfg =
-      {
-        (Service.default_config ~targets:population) with
-        Service.cfg_profile = profile;
-        cfg_hotness = hotness;
-        cfg_guard = guard;
-        cfg_store = store;
-        cfg_label_targets = fleet > 0;
-      }
-    in
-    let serve_cfg =
-      {
-        Serve.sv_service = cfg;
-        sv_domains = domains;
-        sv_lanes = lanes;
-        sv_budget = budget;
-        sv_backlog = backlog_of backlog;
-        sv_faults = faults;
-        sv_breaker_threshold = breaker_threshold;
-        sv_breaker_cooldown = breaker_cooldown;
-        sv_max_batch = max_batch;
-        sv_batch_window = batch_window;
-        sv_checkpoint_every = checkpoint_every;
-        sv_journal_dir = journal_dir;
-        sv_restart_limit = restart_limit;
-        sv_lane_stall_limit = lane_stall_limit;
-        sv_crash_at = [];
-        sv_wedge_at = [];
-      }
-    in
-    if fleet > 0 then
-      Printf.printf "fleet    : %d machines (%s), seed %d\n" fleet
-        (fleet_describe population) fleet_seed;
-    let stats = Stats.create () in
-    let rep = Serve.run ~stats serve_cfg wl in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (if Filename.check_suffix path ".json" then Stats.to_json stats
-           else Stats.to_prometheus stats);
-        close_out oc)
-      metrics_out;
+  let trace = standard_trace src ~n_targets:1 in
+  if serving then begin
+    let stats, rep = serve srv out cfg ~faults (trace_workload src trace) in
+    print_header "chaos-serve" target rt
+      (Printf.sprintf ", seed %d, %d streams" src.seed src.streams);
+    if chaos then
+      Printf.printf
+        "  faults: corrupt %.2f, compile-fault %.2f, stall %.2f, disconnect \
+         %.2f, deadline-exhaust %.2f\n"
+        flt.corrupt_rate flt.compile_fault_rate flt.stall_rate
+        flt.disconnect_rate flt.deadline_exhaust_rate;
     Serve.print_report rep;
-    if fleet > 0 then print_target_counters stats;
-    serve_verdict rep ~chaos:false
+    print_runtime_metrics stats;
+    serve_verdict rep ~chaos ~name:"chaos"
+      ~lost_note:" outside shedding/timeout/disconnect accounting"
+      ~ok_note:", 0 wrong outputs"
+  end
+  else begin
+    let stats, report = replay srv out cfg trace in
+    if not chaos then
+      (* No faults, no oracle: this IS a serve-replay, printed
+         byte-identically so the healthy path is provably unchanged. *)
+      print_header "serve-replay" target rt ""
+    else begin
+      print_header "chaos-replay" target rt
+        (Printf.sprintf ", seed %d" src.seed);
+      Printf.printf
+        "  faults: corrupt %.2f, compile-fault %.2f, drop-simd %s, oracle \
+         every %d run(s), retry budget %d\n"
+        flt.corrupt_rate flt.compile_fault_rate
+        (match flt.drop_simd_at with
+        | Some at -> Printf.sprintf "@%d" at
+        | None -> "off")
+        (max 1 flt.oracle_every) flt.retry_budget;
+      if flt.store_corrupt_rate > 0.0 then
+        Printf.printf "  store faults: corrupt %.2f on probe reads\n"
+          flt.store_corrupt_rate
+    end;
+    Service.print_report report;
+    print_runtime_metrics stats;
+    if chaos then begin
+      let escaped = escaped_mismatches report in
+      if escaped > 0 then begin
+        Printf.printf
+          "chaos verdict: FAIL — %d mismatch(es) without quarantine\n" escaped;
+        exit 1
+      end
+      else
+        Printf.printf
+          "chaos verdict: OK — every injected fault was absorbed (%d \
+           corrupted, %d injected compile faults, %d quarantines, %d \
+           retries, 0 wrong outputs)\n"
+          report.Service.rp_corrupted_bodies
+          report.Service.rp_injected_compile report.Service.rp_quarantines
+          report.Service.rp_retries
+    end
+  end
+
+let serve_bench rt src srv flt out =
+  let target = resolve_target rt.target in
+  let faults, guard =
+    injector flt ~chaos:flt.chaos ~serving:true ~seed:src.seed
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve a scripted stream workload ('stream'/'event'/'drain' \
-          lines from stdin or --script) through the resilient serving \
-          layer and print the drain report.  The same virtual-time \
-          engine as serve-bench: deterministic, no sockets.")
-    Term.(
-      const run $ target_arg $ profile_arg $ script_arg $ domains_arg
-      $ lanes_arg $ budget_arg $ backlog_arg $ hotness_arg
-      $ breaker_threshold_arg $ breaker_cooldown_arg $ max_batch_arg
-      $ batch_window_arg $ store_arg $ metrics_out_arg $ crash_rate_arg
-      $ crash_seed_arg $ checkpoint_every_arg $ journal_arg
-      $ restart_limit_arg $ lane_stall_limit_arg $ fleet_arg
-      $ fleet_seed_arg)
+  let cfg = service_config rt ~targets:[ target ] ~guard in
+  let wl = trace_workload src (standard_trace src ~n_targets:1) in
+  let stats, rep = serve srv out cfg ~faults wl in
+  print_header "serve-bench" target rt (Printf.sprintf ", seed %d" src.seed);
+  Serve.print_report rep;
+  print_runtime_metrics stats;
+  serve_verdict rep ~chaos:flt.chaos
+
+let fleet_replay rt src srv _flt out =
+  let population =
+    fleet_population ~seed:src.fleet_seed ~machines:src.machines
+  in
+  let upgrade_at =
+    match src.upgrade_at with
+    | Some at when at < 0 -> None
+    | Some at -> Some at
+    | None -> Some (src.length / 3)
+  in
+  let cfg =
+    service_config rt ~targets:population ~guard:Tiered.no_guard
+      ~retargets:(fleet_retargets ~upgrade_at ~drop_at:src.drop_at)
+      ~label_targets:true
+  in
+  let trace = standard_trace src ~n_targets:src.machines in
+  let stats, rep = serve srv out cfg ~faults:None (trace_workload src trace) in
+  if out.json then print_string (Service.report_to_json rep.Serve.sr_service)
+  else begin
+    Printf.printf
+      "fleet-replay: %d machines [%s], %d events (seed %d, %s profile)\n"
+      src.machines (fleet_describe population) src.length src.seed
+      rt.profile.Profile.name;
+    Option.iter
+      (Printf.printf "  upgrades at event %d: sse -> avx512, neon -> sve\n")
+      upgrade_at;
+    Option.iter
+      (Printf.printf "  drop at event %d: avx -> scalar\n")
+      src.drop_at;
+    Serve.print_report rep;
+    print_target_counters stats
+  end;
+  serve_verdict rep ~chaos:false
+
+let serve_script rt src srv flt out =
+  let target = resolve_target rt.target in
+  let fleet = src.fleet > 0 in
+  let population =
+    if fleet then fleet_population ~seed:src.fleet_seed ~machines:src.fleet
+    else [ target ]
+  in
+  let faults, guard =
+    injector flt ~chaos:false ~serving:true ~seed:flt.crash_seed
+  in
+  let cfg =
+    service_config rt ~targets:population ~guard ~label_targets:fleet
+  in
+  let text =
+    match src.script with
+    | Some path -> In_channel.with_open_text path In_channel.input_all
+    | None -> In_channel.input_all stdin
+  in
+  let wl = parse_serve_script (String.split_on_char '\n' text) in
+  if Array.length wl.Workload.wl_arrivals = 0 then begin
+    Printf.eprintf "vaporc serve: the script contains no events\n";
+    exit 2
+  end;
+  let wl =
+    (* Scripted events all carry ev_target = 0; a fleet spreads them
+       round-robin (by global arrival sequence) over the population so
+       every machine archetype serves traffic. *)
+    if not fleet then wl
+    else
+      {
+        wl with
+        Workload.wl_arrivals =
+          Array.map
+            (fun a ->
+              {
+                a with
+                Workload.ar_event =
+                  {
+                    a.Workload.ar_event with
+                    Trace.ev_target = a.Workload.ar_seq mod src.fleet;
+                  };
+              })
+            wl.Workload.wl_arrivals;
+      }
+  in
+  if fleet then
+    Printf.printf "fleet    : %d machines (%s), seed %d\n" src.fleet
+      (fleet_describe population) src.fleet_seed;
+  let stats, rep = serve srv out cfg ~faults wl in
+  Serve.print_report rep;
+  if fleet then print_target_counters stats;
+  serve_verdict rep ~chaos:false
+
+let serving_cmds =
+  List.map
+    (fun (p, name, doc, run) ->
+      Cmd.v (Cmd.info name ~doc)
+        Term.(
+          const run $ runtime_term p $ source_term p $ serving_term p
+          $ faults_term p $ outputs_term p))
+    [
+      ( Replay,
+        "serve-replay",
+        "Replay a seeded synthetic workload through the tiered runtime \
+         (interpreter -> JIT promotion, content-addressed code cache) and \
+         print throughput, amortized compile cost, and cache statistics.",
+        serve_replay );
+      ( Chaos,
+        "chaos-replay",
+        "Replay the standard trace while deterministically injecting faults \
+         (corrupted cached bodies, transient compile failures, mid-trace SIMD \
+         loss) with the differential oracle checking every JIT run: the \
+         runtime must absorb every fault with zero wrong outputs.",
+        chaos_replay );
+      ( Bench,
+        "serve-bench",
+        "Drive a deterministic multi-stream load through the serving layer \
+         (bounded ingress queues, admission budget, deadlines, per-kernel \
+         circuit breakers, graceful drain) entirely in-process over virtual \
+         time — no sockets, byte-identical output per seed and flags.",
+        serve_bench );
+      ( Script,
+        "serve",
+        "Serve a scripted stream workload ('stream'/'event'/'drain' lines \
+         from stdin or --script) through the resilient serving layer and \
+         print the drain report.  The same virtual-time engine as \
+         serve-bench: deterministic, no sockets.",
+        serve_script );
+      ( Fleet,
+        "fleet-replay",
+        "Drive one vectorized bytecode stream through a seeded heterogeneous \
+         fleet of scalar/SSE/AVX/NEON/AltiVec/SVE/AVX-512 machines, with \
+         mid-trace capability upgrades (SSE to AVX-512, NEON to SVE) \
+         rejuvenating cached code, per-target labeled metrics, and the \
+         serving layer's conservation checks.",
+        fleet_replay );
+    ]
 
 (* --- vaporc cache: persistent-store maintenance -------------------------
    None of these create a store: pointing them at a missing or unusable
@@ -2172,9 +1764,7 @@ let jit_report_cmd =
       | Some names -> List.map resolve_target names
       | None -> Targets.all
     in
-    let kernels =
-      Option.map (List.map (fun n -> (resolve_kernel n).Suite.name)) kernels
-    in
+    let kernels = resolve_kernels kernels in
     let rows =
       Vapor_harness.Jit_report.run ~repeats ~invocations ~scale ?kernels
         ~targets ~profile ()
@@ -2248,12 +1838,12 @@ let () =
   in
   let group =
     Cmd.group info
-      [
-        list_cmd; dump_ir_cmd; vectorize_cmd; lower_cmd; run_cmd; conform_cmd;
-        stat_cmd; encode_cmd; disasm_cmd; serve_replay_cmd; chaos_replay_cmd;
-        serve_bench_cmd; serve_cmd; fleet_replay_cmd; cache_cmd; journal_cmd;
-        jit_report_cmd; experiments_cmd;
-      ]
+      ([
+         list_cmd; dump_ir_cmd; vectorize_cmd; lower_cmd; run_cmd;
+         conform_cmd; stat_cmd; encode_cmd; disasm_cmd;
+       ]
+      @ serving_cmds
+      @ [ cache_cmd; journal_cmd; jit_report_cmd; experiments_cmd ])
   in
   let die msg =
     prerr_endline ("vaporc: " ^ msg);

@@ -285,12 +285,6 @@ let pool_assign pool ~(weights : (string * int) list) =
     Option.value ~default:0
       (Hashtbl.find_opt assign (pool_digest pool ~kernel))
 
-(* Drive one event through one shard's tiered runtime.  Triggers
-   (rejuvenation, SIMD drop) fire at the first owned event at or past
-   their index, so a shard that does not own the exact trigger event
-   still switches at the same point in its own subsequence.
-   [interp_only] / [force_oracle] pass through to {!Tiered.invoke} — the
-   serving layer's breaker-open and half-open-probe modes. *)
 (* Fire the shard's retarget triggers (rejuvenation, SIMD drop) due at
    [ev]; returns [true] when one fired (a batch dispatcher must drop its
    memoized signatures: their target association is stale). *)
@@ -346,11 +340,51 @@ let fire_triggers pool ~shard (ev : Trace.event) =
   | _ -> ());
   !fired
 
-(* The root-span + record wrapper shared by {!shard_step} and
-   {!shard_step_batch}: [run] performs the actual tiered invocation. *)
-let step_with pool ~shard (ev : Trace.event) ~target run =
+(* Per-target labeled counters, identical on the live, batched, and
+   journal-replay paths so recovery replay reproduces them exactly.  The
+   label uses the RESOLVED name (a late-bound "sve" serves as its pinned
+   spelling). *)
+let note_target_run sh cfg ~(target : Target.t) (r : Tiered.run) =
+  if cfg.cfg_label_targets then begin
+    let base = "target." ^ (Target.resolve target).Target.name in
+    Stats.incr sh.sh_stats (base ^ ".invocations");
+    Stats.incr sh.sh_stats
+      (base
+      ^
+      match r.Tiered.r_tier with
+      | Tiered.Jit -> ".jit_runs"
+      | Tiered.Interpreter -> ".interp_runs")
+  end;
+  r
+
+(* The one per-event step.  Triggers (rejuvenation, SIMD drop) fire at
+   the first owned event at or past their index, so a shard that does not
+   own the exact trigger event still switches at the same point in its own
+   subsequence; one that fires mid-batch drops the batch's memoized
+   signatures, whose target association is stale.  The root span goes to
+   the runtime's current tracer, which recovery replay silences. *)
+let shard_step ?interp_only ?force_oracle ?discard_store_hit ?batch pool
+    ~shard (ev : Trace.event) =
   let sh = pool.pl_shards.(shard) in
-  let tr = sh.sh_tracer in
+  let cfg = pool.pl_cfg in
+  if fire_triggers pool ~shard ev then Option.iter Tiered.batch_reset batch;
+  let entry, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
+  let target =
+    sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
+  in
+  (* Two events share operands iff they share this signature: the suite's
+     argument builders are pure functions of (kernel, scale), and the
+     target index picks the compiled body variant. *)
+  let memo =
+    match batch with
+    | None -> None
+    | Some b ->
+      Some
+        ( b,
+          Printf.sprintf "%s/%d/%d" ev.Trace.ev_kernel ev.Trace.ev_target
+            ev.Trace.ev_scale )
+  in
+  let tr = Tiered.tracer sh.sh_tiered in
   let invoke () =
     if Tracer.on tr then
       Tracer.root_begin tr ~ev:ev.Trace.ev_index ~name:"replay_event"
@@ -359,7 +393,13 @@ let step_with pool ~shard (ev : Trace.event) ~target run =
           "target", Tracer.S target.Target.name;
           "scale", Tracer.I ev.Trace.ev_scale;
         ];
-    let r : Tiered.run = run () in
+    let r =
+      note_target_run sh cfg ~target
+        (Tiered.invoke_lazy ~digest ~label:ev.Trace.ev_kernel ?interp_only
+           ?force_oracle ?discard_store_hit ?memo sh.sh_tiered ~target
+           ~profile:cfg.cfg_profile vk
+           ~args:(lazy (entry.Suite.args ~scale:ev.Trace.ev_scale)))
+    in
     if Tracer.on tr then
       Tracer.root_end tr
         ~attrs:
@@ -382,38 +422,6 @@ let step_with pool ~shard (ev : Trace.event) ~target run =
      pipeline-stage timings into their own tracer. *)
   if Tracer.on tr then Stage.with_sink (Tracer.stage_sink tr) invoke
   else invoke ()
-
-(* Per-target labeled counters, identical on the live, batched, and
-   journal-replay paths so recovery replay reproduces them exactly.  The
-   label uses the RESOLVED name (a late-bound "sve" serves as its pinned
-   spelling). *)
-let note_target_run sh cfg ~(target : Target.t) (r : Tiered.run) =
-  if cfg.cfg_label_targets then begin
-    let base = "target." ^ (Target.resolve target).Target.name in
-    Stats.incr sh.sh_stats (base ^ ".invocations");
-    Stats.incr sh.sh_stats
-      (base
-      ^
-      match r.Tiered.r_tier with
-      | Tiered.Jit -> ".jit_runs"
-      | Tiered.Interpreter -> ".interp_runs")
-  end;
-  r
-
-let shard_step ?interp_only ?force_oracle pool ~shard (ev : Trace.event) =
-  let sh = pool.pl_shards.(shard) in
-  let cfg = pool.pl_cfg in
-  ignore (fire_triggers pool ~shard ev);
-  let entry, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
-  let target =
-    sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
-  in
-  let args = entry.Suite.args ~scale:ev.Trace.ev_scale in
-  step_with pool ~shard ev ~target (fun () ->
-      note_target_run sh cfg ~target
-        (Tiered.invoke ~digest ~label:ev.Trace.ev_kernel ?interp_only
-           ?force_oracle sh.sh_tiered ~target ~profile:cfg.cfg_profile vk
-           ~args))
 
 let shard_faults pool ~shard =
   pool.pl_shards.(shard).sh_guard.Tiered.g_faults
@@ -482,66 +490,22 @@ let snap_counter sp name = Stats.counter sp.sp_stats name
    collected it before the crash.  Execution is deterministic, so the
    replayed invocation reproduces every counter, histogram observation,
    hotness bump, cache touch, and fault draw of the original, leaving
-   the shard bit-identical to its pre-crash state. *)
+   the shard bit-identical to its pre-crash state.  [real_compile] (the
+   journal's hint) discards a store hit the original execution did not
+   get — the body it published before the crash is still staged — so the
+   replay recompiles along the original path with the original fault
+   draws. *)
 let shard_replay_step ?interp_only ?force_oracle ?(real_compile = false) pool
     ~shard (ev : Trace.event) =
-  let sh = pool.pl_shards.(shard) in
-  let cfg = pool.pl_cfg in
-  ignore (fire_triggers pool ~shard ev);
-  let entry, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
-  let target =
-    sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
-  in
-  let args = entry.Suite.args ~scale:ev.Trace.ev_scale in
-  let saved = Tiered.tracer sh.sh_tiered in
-  Tiered.set_tracer sh.sh_tiered Tracer.disabled;
+  let tiered = pool.pl_shards.(shard).sh_tiered in
+  let saved = Tiered.tracer tiered in
+  Tiered.set_tracer tiered Tracer.disabled;
   Fun.protect
-    ~finally:(fun () -> Tiered.set_tracer sh.sh_tiered saved)
+    ~finally:(fun () -> Tiered.set_tracer tiered saved)
     (fun () ->
-      (* [real_compile] (the journal's hint) discards a store hit the
-         original execution did not get — the body it published before
-         the crash is still staged — so the replay recompiles along the
-         original path with the original fault draws. *)
       ignore
-        (note_target_run sh cfg ~target
-           (Tiered.invoke ~digest ~label:ev.Trace.ev_kernel ?interp_only
-              ?force_oracle ~discard_store_hit:real_compile sh.sh_tiered
-              ~target ~profile:cfg.cfg_profile vk ~args)))
-
-(* One batch of co-dispatched same-digest events: the shard it executes
-   on plus the tiered runtime's duplicate-operand elision memo. *)
-type batch = {
-  bt_shard : int;
-  bt_tiered : Tiered.batch;
-}
-
-let batch_begin _pool ~shard = { bt_shard = shard; bt_tiered = Tiered.batch_create () }
-
-let batch_shard b = b.bt_shard
-
-let shard_step_batch ?interp_only ?force_oracle pool ~batch (ev : Trace.event)
-    =
-  let shard = batch.bt_shard in
-  let sh = pool.pl_shards.(shard) in
-  let cfg = pool.pl_cfg in
-  if fire_triggers pool ~shard ev then Tiered.batch_reset batch.bt_tiered;
-  let entry, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
-  let target =
-    sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
-  in
-  (* Two events share operands iff they share this signature: the suite's
-     argument builders are pure functions of (kernel, scale), and the
-     target index picks the compiled body variant. *)
-  let memo_key =
-    Printf.sprintf "%s/%d/%d" ev.Trace.ev_kernel ev.Trace.ev_target
-      ev.Trace.ev_scale
-  in
-  let args () = entry.Suite.args ~scale:ev.Trace.ev_scale in
-  step_with pool ~shard ev ~target (fun () ->
-      note_target_run sh cfg ~target
-        (Tiered.invoke_batch ~digest ~label:ev.Trace.ev_kernel ?interp_only
-           ?force_oracle ~batch:batch.bt_tiered ~memo_key sh.sh_tiered ~target
-           ~profile:cfg.cfg_profile vk ~args))
+        (shard_step ?interp_only ?force_oracle ~discard_store_hit:real_compile
+           pool ~shard ev))
 
 (* Run the partitioned events: shard [i] processes [parts.(i)] in order.
    Logical shards are scheduling-independent, so at most
@@ -782,52 +746,40 @@ let pool_report ?stats pool ~trace_desc ~(records : event_record list) :
     ~rejuvenations:(sum Code_cache.rejuvenations)
     ~hit_rate ~st
 
-let replay ?stats ?(tracer = Tracer.disabled) (cfg : config) (trace : Trace.t)
-    : report =
+(* The trace is partitioned by kernel digest so every invocation of one
+   bytecode body lands in the same shard — tier state, the code cache, and
+   slot bodies need no cross-domain sharing.  Shard assignment balances
+   per-digest event counts (LPT) and the pool clamps spawned OS domains to
+   the core count; per-event records merge back in trace order, so the
+   merged report is identical for any shard count and any core count
+   (and, when each shard's cache stays under budget — no cross-kernel
+   evictions — identical to the single-domain replay). *)
+let replay ?stats ?(tracer = Tracer.disabled) ?(domains = 1) (cfg : config)
+    (trace : Trace.t) : report =
+  let domains = max 1 domains in
   let pool =
-    pool_create ~tracer ~shards:1 cfg ~kernels:trace.Trace.tr_kernels
+    pool_create ~tracer ~shards:domains cfg ~kernels:trace.Trace.tr_kernels
   in
-  let records = pool_run pool [| trace.Trace.tr_events |] in
-  pool_report ?stats pool ~trace_desc:(Trace.describe trace) ~records
-
-(* Domain-parallel replay: the trace is partitioned by kernel digest so
-   every invocation of one bytecode body lands in the same shard — tier
-   state, the code cache, and slot bodies need no cross-domain sharing.
-   Shard assignment balances per-digest event counts (LPT) and the pool
-   clamps spawned OS domains to the core count; per-event records merge
-   back in trace order, so the merged report is identical for any shard
-   count and any core count (and, when each shard's cache stays under
-   budget — no cross-kernel evictions — identical to the single-domain
-   replay). *)
-let replay_sharded ?stats ?(tracer = Tracer.disabled) ?(domains = 1)
-    (cfg : config) (trace : Trace.t) : report =
-  if domains <= 1 then replay ?stats ~tracer cfg trace
-  else begin
-    let pool =
-      pool_create ~tracer ~shards:domains cfg ~kernels:trace.Trace.tr_kernels
-    in
-    let weights =
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (ev : Trace.event) ->
-          let prev =
-            Option.value ~default:0 (Hashtbl.find_opt tbl ev.Trace.ev_kernel)
-          in
-          Hashtbl.replace tbl ev.Trace.ev_kernel (prev + 1))
-        trace.Trace.tr_events;
-      Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
-    in
-    let shard_of = pool_assign pool ~weights in
-    let parts = Array.make domains [] in
+  let weights =
+    let tbl = Hashtbl.create 16 in
     List.iter
       (fun (ev : Trace.event) ->
-        let i = shard_of ev.Trace.ev_kernel in
-        parts.(i) <- ev :: parts.(i))
+        let prev =
+          Option.value ~default:0 (Hashtbl.find_opt tbl ev.Trace.ev_kernel)
+        in
+        Hashtbl.replace tbl ev.Trace.ev_kernel (prev + 1))
       trace.Trace.tr_events;
-    let parts = Array.map List.rev parts in
-    let records = pool_run pool parts in
-    pool_report ?stats pool ~trace_desc:(Trace.describe trace) ~records
-  end
+    Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
+  in
+  let shard_of = pool_assign pool ~weights in
+  let parts = Array.make domains [] in
+  List.iter
+    (fun (ev : Trace.event) ->
+      let i = shard_of ev.Trace.ev_kernel in
+      parts.(i) <- ev :: parts.(i))
+    trace.Trace.tr_events;
+  let records = pool_run pool (Array.map List.rev parts) in
+  pool_report ?stats pool ~trace_desc:(Trace.describe trace) ~records
 
 let tier_table_to_string rp =
   let buf = Buffer.create 512 in

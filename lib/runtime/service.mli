@@ -152,13 +152,29 @@ val pool_digest : pool -> kernel:string -> Digest.t
     names sharing one bytecode digest always land together. *)
 val pool_assign : pool -> weights:(string * int) list -> string -> int
 
-(** Drive one event through one shard.  [interp_only] / [force_oracle]
-    pass through to {!Tiered.invoke} (breaker-open serving and the
-    half-open probe).  Safe to interleave shards on one domain; a shard
-    must never be stepped from two domains concurrently. *)
+(** Drive one event through one shard — the one per-event step every
+    driver uses: fire the shard's due retarget triggers, look the kernel
+    up, pick the target, and run {!Tiered.invoke_lazy} under a
+    [replay_event] root span.  [interp_only] / [force_oracle] pass
+    through (breaker-open serving and the half-open probe), as does
+    [discard_store_hit] (the recovery-replay hint).
+
+    [batch] makes the event a member of one co-dispatched same-digest
+    batch: members whose (kernel, target, scale) signature already ran in
+    it have bit-identical operands and are elided — charged per element,
+    executed once — on the unguarded fast path.  Records, counters,
+    histograms, gauges and the runtime's child spans are identical to
+    stepping each member singly; only the stage leaves of the skipped
+    execution are missing.  A retarget trigger firing mid-batch resets
+    the memo.
+
+    Safe to interleave shards on one domain; a shard must never be
+    stepped from two domains concurrently. *)
 val shard_step :
   ?interp_only:bool ->
   ?force_oracle:bool ->
+  ?discard_store_hit:bool ->
+  ?batch:Tiered.batch ->
   pool ->
   shard:int ->
   Trace.event ->
@@ -196,14 +212,14 @@ val snap_cache_rows :
 val snap_tier_rows : shard_snap -> (string * string * string * int * bool) list
 val snap_counter : shard_snap -> string -> int
 
-(** Re-execute one journaled event against restored shard state.  Spans
-    are silenced and the record discarded (the engine already collected
-    it before the crash); execution is deterministic, so the replay
-    reproduces every counter, hotness bump, cache touch, and fault draw
-    of the original.  [real_compile] is the journal's hint that the
-    original execution really compiled: the replay then discards a store
-    hit (the pre-crash publish is still staged) and recompiles along the
-    original path. *)
+(** Re-execute one journaled event against restored shard state:
+    {!shard_step} with spans silenced and the record discarded (the
+    engine already collected it before the crash); execution is
+    deterministic, so the replay reproduces every counter, hotness bump,
+    cache touch, and fault draw of the original.  [real_compile] is the
+    journal's hint that the original execution really compiled: the
+    replay then discards a store hit (the pre-crash publish is still
+    staged) and recompiles along the original path. *)
 val shard_replay_step :
   ?interp_only:bool ->
   ?force_oracle:bool ->
@@ -212,29 +228,6 @@ val shard_replay_step :
   shard:int ->
   Trace.event ->
   unit
-
-(** One batch of co-dispatched same-digest events on one shard: carries
-    the tiered runtime's duplicate-operand elision memo
-    ({!Tiered.batch}).  Create one per dispatched batch, step every
-    member through it with {!shard_step_batch}, then drop it. *)
-type batch
-
-val batch_begin : pool -> shard:int -> batch
-val batch_shard : batch -> int
-
-(** As {!shard_step}, inside [batch]: members whose (kernel, target,
-    scale) signature already ran in this batch have bit-identical
-    operands and are elided — executed once, charged per element — on
-    the unguarded fast path.  Accounting (records, counters, histograms,
-    spans) is byte-identical to stepping each member singly.  A
-    retarget trigger firing mid-batch resets the memo. *)
-val shard_step_batch :
-  ?interp_only:bool ->
-  ?force_oracle:bool ->
-  pool ->
-  batch:batch ->
-  Trace.event ->
-  event_record
 
 (** Run [parts.(i)] through shard [i], spawning at most
     [Domain.recommended_domain_count] OS domains (extra logical shards
@@ -259,33 +252,31 @@ val throughput : report -> float
     cold compile ([rp_cold_compile_us / rp_amortized_us]). *)
 val amortization_factor : report -> float
 
-(** [tracer] (default {!Vapor_obs.Tracer.disabled}) records one
-    [replay_event] root span per trace event, with the tiered runtime's
-    child spans and pipeline-stage leaf spans beneath it; a {!Stage} sink
-    streaming into the tracer is installed for the replay's duration.
-    After the replay, observability gauges ([cache.bytes],
-    [cache.entries], [cache.evicted_entries],
-    [cache.invalidated_entries], [jit.real_compiles], [slot.compiles],
-    [slot.hits], [slot.hit_rate], [tier.quarantined_kernels],
-    fault-draw counts when guarded, and [store.*] when a persistent
-    store is configured) are recorded on the registry — gauges never
-    appear in {!Stats.to_table}, so reports are unaffected. *)
-val replay :
-  ?stats:Stats.t -> ?tracer:Vapor_obs.Tracer.t -> config -> Trace.t -> report
+(** Replay a trace across [domains] (default 1) logical shards — the
+    only driver that runs shards on OS domains.  The trace is partitioned
+    by kernel digest (balanced by per-digest event count), each shard
+    runs an independent session on at most
+    [Domain.recommended_domain_count] OS domains, and per-event records
+    merge back in trace order: the report is identical for any [domains]
+    value and any core count (and, when no cache evictions occur,
+    identical to one shard's).  When guarded with more than one shard,
+    each shard derives its own deterministic fault stream from the
+    injector seed and the shard index.
 
-(** Domain-parallel replay: partitions the trace by kernel digest across
-    [domains] logical shards (balanced by per-digest event count), runs
-    an independent session per shard on at most
-    [Domain.recommended_domain_count] OS domains, and merges per-event
-    records back in trace order — the merged report is identical for any
-    [domains] value and any core count (and, when no cache evictions
-    occur, identical to {!replay}).  [domains <= 1] delegates to
-    {!replay} unchanged.  When guarded, each shard derives its own
-    deterministic fault stream from the injector seed and the shard
-    index.  Each shard traces into its own {!Vapor_obs.Tracer.sub} of
-    [tracer], absorbed back after the join; with wall-clock off the
-    pooled trace is byte-identical for any [domains] value. *)
-val replay_sharded :
+    [tracer] (default {!Vapor_obs.Tracer.disabled}) records one
+    [replay_event] root span per trace event, with the tiered runtime's
+    child spans and pipeline-stage leaf spans beneath it; with more than
+    one shard each traces into its own {!Vapor_obs.Tracer.sub} of
+    [tracer], absorbed back after the join, so with wall-clock off the
+    pooled trace is byte-identical for any [domains] value.  After the
+    replay, observability gauges ([cache.bytes], [cache.entries],
+    [cache.evicted_entries], [cache.invalidated_entries],
+    [jit.real_compiles], [slot.compiles], [slot.hits], [slot.hit_rate],
+    [tier.quarantined_kernels], fault-draw counts when guarded, and
+    [store.*] when a persistent store is configured) are recorded on the
+    registry — gauges never appear in {!Stats.to_table}, so reports are
+    unaffected. *)
+val replay :
   ?stats:Stats.t ->
   ?tracer:Vapor_obs.Tracer.t ->
   ?domains:int ->

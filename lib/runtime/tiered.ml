@@ -236,19 +236,38 @@ let slot_body t ~digest ~mode vk =
     Hashtbl.replace t.slot_bodies key c;
     c
 
-(* One interpreter execution with tier bookkeeping.  The fast engine runs
-   the slot-compiled body (cached per bytecode digest and mode); the
-   reference engine — and any quarantined kernel — runs Veval.  The
-   modeled cycle charge is the same either way: the model prices the
-   abstract interpreter, not our implementation of it.
+(* The duplicate-operand elision memo of one batch of co-dispatched
+   invocations: per tier, caller signature -> the modeled cycle charge of
+   the execution that already ran those operands.  The serving layer's
+   workload builders construct arguments deterministically from (kernel,
+   scale) with no per-event input, so co-batched elements sharing a
+   signature execute the same pure function over the same operands. *)
+type batch = {
+  bt_interp : (string, int) Hashtbl.t;
+  bt_jit : (string, int) Hashtbl.t;
+}
+
+let batch_create () =
+  { bt_interp = Hashtbl.create 8; bt_jit = Hashtbl.create 8 }
+
+let batch_reset b =
+  Hashtbl.reset b.bt_interp;
+  Hashtbl.reset b.bt_jit
+
+(* One interpreter execution.  The fast engine runs the slot-compiled
+   body (cached per bytecode digest and mode); the reference engine — and
+   any quarantined kernel — runs Veval.  The modeled cycle charge is the
+   same either way: the model prices the abstract interpreter, not our
+   implementation of it.
 
    Under a guard, slot bodies get the same treatment as JIT bodies: the
    fault injector may corrupt the delivered body, and the differential
    oracle re-runs the reference interpreter on a copy of the arguments
    (first run, then sampled) — on a mismatch the body is evicted, the
-   kernel quarantined, and the caller gets the reference answer. *)
-let interp_run ?(force_check = false) t (s : kstate) ~digest
-    ~(target : Target.t) vk ~args =
+   kernel quarantined, and the caller gets the reference answer.
+   Returns (modeled cycles, oracle-check cycles, mismatched). *)
+let interp_exec ~force_check t (s : kstate) ~digest ~(target : Target.t) vk
+    ~args =
   let mode = veval_mode target in
   let cycles = interp_cycles vk ~args in
   let extra, mismatched =
@@ -298,6 +317,37 @@ let interp_run ?(force_check = false) t (s : kstate) ~digest
         end
       end
     end
+  in
+  cycles, extra, mismatched
+
+(* One interpreter run with tier bookkeeping.  A batch [memo] (passed
+   only on the unguarded fast path, see {!invoke_lazy}) may already hold
+   the charge of a co-batched element with bit-identical operands: that
+   charge is replayed, and the arguments are neither built nor run.  The
+   bookkeeping after the execution is shared, so an elided run cannot be
+   told apart from an executed one. *)
+let interp_run ?(force_check = false) ?memo t (s : kstate) ~digest
+    ~(target : Target.t) vk ~args =
+  let memoized =
+    match memo with
+    | Some (b, key) -> Hashtbl.find_opt b.bt_interp key
+    | None -> None
+  in
+  let cycles, extra, mismatched =
+    match memoized with
+    | Some cycles ->
+      (* the slot-body cache hit the execution would have made *)
+      t.slot_hits <- t.slot_hits + 1;
+      cycles, 0, false
+    | None ->
+      let ((cycles, extra, mismatched) as r) =
+        interp_exec ~force_check t s ~digest ~target vk ~args:(Lazy.force args)
+      in
+      (match memo with
+      | Some (b, key) when not mismatched ->
+        Hashtbl.replace b.bt_interp key (cycles + extra)
+      | _ -> ());
+      r
   in
   s.ks_interp_runs <- s.ks_interp_runs + 1;
   Stats.incr t.st "tier.interp_runs";
@@ -429,9 +479,7 @@ let store_publish t key vk compiled =
       Stats.incr t.st "store.publish_aborts");
     if Tracer.on tr then Tracer.span_end tr ~name:"store_publish" ()
 
-(* Invocation-count and hotness-promotion bookkeeping, shared by
-   {!invoke} and {!invoke_batch} so a batched element is accounted
-   exactly like a single dispatch. *)
+(* Invocation-count and hotness-promotion bookkeeping. *)
 let note_invocation t (s : kstate) =
   s.ks_invocations <- s.ks_invocations + 1;
   if
@@ -447,13 +495,13 @@ let note_invocation t (s : kstate) =
 
 (* The interpreter-tier arm of an invocation: exec span + tiered
    interpreter run. *)
-let interp_invoke t (s : kstate) ~digest ~(target : Target.t) ~force_check vk
-    ~args =
+let interp_invoke ?memo t (s : kstate) ~digest ~(target : Target.t)
+    ~force_check vk ~args =
   let tr = t.tracer in
   if Tracer.on tr then
     Tracer.span_begin tr ~name:"exec" [ "tier", Tracer.S "interp" ];
   let cycles, mismatched =
-    interp_run ~force_check t s ~digest ~target vk ~args
+    interp_run ~force_check ?memo t s ~digest ~target vk ~args
   in
   if Tracer.on tr then
     Tracer.span_end tr ~attrs:[ "cycles", Tracer.I cycles ] ~name:"exec" ();
@@ -506,9 +554,11 @@ let jit_fetch_slow ?(discard_store_hit = false) t ~(target : Target.t)
           ~name:"compile" ();
       Error (err, backoff_us))
 
-(* The JIT-tier arm of an invocation, given the fetched body. *)
-let jit_run t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle vk
-    ~args fetched =
+(* The JIT-tier arm of an invocation, given the fetched body.  A batch
+   [memo] replays the charge of a co-batched element that already ran
+   these operands on this cached body, exactly as in {!interp_run}. *)
+let jit_run ?memo t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle
+    vk ~args fetched =
   let tr = t.tracer in
   match fetched with
   | Error ((_err : Compile.lower_error), backoff_us) ->
@@ -558,19 +608,33 @@ let jit_run t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle vk
              && s.ks_jit_runs > 0
              && s.ks_jit_runs mod p.op_sample_every = 0)
       in
-      let reference = if check then Some (copy_args args) else None in
+      let memoized =
+        match memo, outcome with
+        | Some (b, key), Code_cache.Hit -> Hashtbl.find_opt b.bt_jit key
+        | _ -> None
+      in
+      let reference =
+        if check then Some (copy_args (Lazy.force args)) else None
+      in
       let exec_result =
         if Tracer.on tr then
           Tracer.span_begin tr ~name:"exec" [ "tier", Tracer.S "jit" ];
         let r =
-          Exec.run_checked ~reference:(t.engine = Reference) target compiled
-            ~args
+          match memoized with
+          | Some cycles -> Ok cycles
+          | None -> (
+            match
+              Exec.run_checked ~reference:(t.engine = Reference) target
+                compiled ~args:(Lazy.force args)
+            with
+            | Ok ok -> Ok ok.Exec.cycles
+            | Error ee -> Error ee)
         in
         (if Tracer.on tr then
            match r with
-           | Ok ok ->
+           | Ok cycles ->
              Tracer.span_end tr
-               ~attrs:[ "cycles", Tracer.I ok.Exec.cycles ]
+               ~attrs:[ "cycles", Tracer.I cycles ]
                ~name:"exec" ()
            | Error ee ->
              Tracer.span_end tr
@@ -589,13 +653,16 @@ let jit_run t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle vk
         { r_tier = Interpreter; r_cycles = cycles; r_compile_us = charged;
           r_cache = Some outcome; r_outcome = Exec_fault;
           r_real_compile = real_compile }
-      | Ok r -> (
+      | Ok cycles -> (
         s.ks_jit_runs <- s.ks_jit_runs + 1;
         Stats.incr t.st "tier.jit_runs";
-        Stats.observe t.st "tier.jit_cycles" (float_of_int r.Exec.cycles);
+        Stats.observe t.st "tier.jit_cycles" (float_of_int cycles);
         match reference with
         | None ->
-          { r_tier = Jit; r_cycles = r.Exec.cycles; r_compile_us = charged;
+          (match memo, memoized with
+          | Some (b, key), None -> Hashtbl.replace b.bt_jit key cycles
+          | _ -> ());
+          { r_tier = Jit; r_cycles = cycles; r_compile_us = charged;
             r_cache = Some outcome; r_outcome = Clean;
             r_real_compile = real_compile }
         | Some ref_args ->
@@ -619,13 +686,13 @@ let jit_run t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle vk
           if Tracer.on tr then Tracer.span_begin tr ~name:"oracle" [];
           ignore (Veval.run vk ~mode ~args:ref_args);
           let check_cycles = interp_cycles vk ~args:ref_args in
-          let matched = args_equal args ref_args in
+          let matched = args_equal (Lazy.force args) ref_args in
           if Tracer.on tr then
             Tracer.span_end tr
               ~attrs:[ "match", Tracer.Bool matched ]
               ~name:"oracle" ();
           if matched then
-            { r_tier = Jit; r_cycles = r.Exec.cycles + check_cycles;
+            { r_tier = Jit; r_cycles = cycles + check_cycles;
               r_compile_us = charged; r_cache = Some outcome;
               r_outcome = Clean; r_real_compile = real_compile }
           else begin
@@ -633,9 +700,9 @@ let jit_run t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle vk
                interpreter's buffers — no wrong output escapes. *)
             Stats.incr t.st "oracle.mismatches";
             quarantine t s;
-            restore_args ~into:args ~from:ref_args;
+            restore_args ~into:(Lazy.force args) ~from:ref_args;
             { r_tier = Interpreter;
-              r_cycles = r.Exec.cycles + check_cycles;
+              r_cycles = cycles + check_cycles;
               r_compile_us = charged; r_cache = Some outcome;
               r_outcome = Oracle_mismatch; r_real_compile = real_compile }
           end))
@@ -653,14 +720,28 @@ let resolve ?digest ?label t ~(target : Target.t) ~(profile : Profile.t)
   let label = match label with Some l -> l | None -> vk.B.name in
   d, key, state_of t key label
 
-let invoke ?digest ?label ?(interp_only = false) ?(force_oracle = false)
-    ?(discard_store_hit = false) t ~(target : Target.t)
+(* The one invocation body.  [memo] (a batch and the caller's operand
+   signature) enables duplicate-operand elision; it is honoured only on
+   the unguarded fast path (no fault injector, no oracle, no forced
+   probe, fast engine, kernel not quarantined), so guard schedules, fault
+   draws and quarantine transitions stay those of single dispatch. *)
+let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
+    ?(discard_store_hit = false) ?memo t ~(target : Target.t)
     ~(profile : Profile.t) (vk : B.vkernel) ~args =
   (* Pin late-bound targets to a concrete vector length before keying any
      cache: "sve" and its resolved spelling must not alias distinct
      entries. *)
   let target = Target.resolve target in
   let d, key, s = resolve ?digest ?label t ~target ~profile vk in
+  let memo =
+    match memo with
+    | Some _
+      when t.engine = Fast && t.guard.g_oracle = None
+           && t.guard.g_faults = None && (not force_oracle)
+           && not s.ks_quarantined ->
+      memo
+    | _ -> None
+  in
   note_invocation t s;
   let tr = t.tracer in
   (* [interp_only] forces the interpreter path for this invocation without
@@ -669,157 +750,30 @@ let invoke ?digest ?label ?(interp_only = false) ?(force_oracle = false)
      JIT serving the moment the caller stops forcing. *)
   match (if interp_only then Interpreter else s.ks_tier) with
   | Interpreter ->
-    interp_invoke t s ~digest:d ~target ~force_check:force_oracle vk ~args
+    interp_invoke ?memo t s ~digest:d ~target ~force_check:force_oracle vk
+      ~args
   | Jit ->
     (* Obtain the body: cache lookup, else store probe / compile (with
        bounded retry against injected transient faults) and insert.
        Stats mirror [Code_cache.find_or_compile] exactly on the clean
        path. *)
+    if Tracer.on tr then Tracer.span_begin tr ~name:"cache_lookup" [];
+    let found = Code_cache.find t.cache key in
+    if Tracer.on tr then
+      Tracer.span_end tr
+        ~attrs:[ "outcome", Tracer.S (if found = None then "miss" else "hit") ]
+        ~name:"cache_lookup" ();
     let fetched =
-      if Tracer.on tr then Tracer.span_begin tr ~name:"cache_lookup" [];
-      match Code_cache.find t.cache key with
-      | Some compiled ->
-        if Tracer.on tr then
-          Tracer.span_end tr
-            ~attrs:[ "outcome", Tracer.S "hit" ]
-            ~name:"cache_lookup" ();
-        Ok (compiled, Code_cache.Hit, 0.0, false)
-      | None ->
-        if Tracer.on tr then
-          Tracer.span_end tr
-            ~attrs:[ "outcome", Tracer.S "miss" ]
-            ~name:"cache_lookup" ();
-        jit_fetch_slow ~discard_store_hit t ~target ~profile ~key vk
+      match found with
+      | Some compiled -> Ok (compiled, Code_cache.Hit, 0.0, false)
+      | None -> jit_fetch_slow ~discard_store_hit t ~target ~profile ~key vk
     in
-    jit_run t s ~digest:d ~target ~force_oracle vk ~args fetched
+    jit_run ?memo t s ~digest:d ~target ~force_oracle vk ~args fetched
 
-(* {2 Batched invocation}
-
-   A batch memoizes, per (tier, caller signature), the modeled cycle
-   charge of an execution whose operands are bit-identical to one that
-   already ran in the same batch.  The serving layer's workload builders
-   construct arguments deterministically from (kernel, scale) with no
-   per-event input, so co-batched elements sharing a signature execute
-   the same pure function over the same operands — the runtime runs the
-   body once and replays the charge for the duplicates, skipping both
-   the argument build and the execution.
-
-   Elision is confined to the unguarded fast path (no fault injector, no
-   differential oracle, no forced probe check, fast engine, kernel not
-   quarantined): everything else falls back to the plain {!invoke}, so
-   guard schedules, fault draws and quarantine transitions are
-   indistinguishable from single dispatch.  Every per-element effect of
-   the elided run is still applied — invocation counts, hotness
-   promotion, cache-lookup accounting (LRU touch + hit counter), tier
-   run counters, cycle histograms, slot-body hits, tracer spans — so
-   reports and gauges cannot tell an elided element from an executed
-   one. *)
-
-type batch = {
-  bt_interp : (string, int) Hashtbl.t;  (* signature -> modeled cycles *)
-  bt_jit : (string, int) Hashtbl.t;
-}
-
-let batch_create () =
-  { bt_interp = Hashtbl.create 8; bt_jit = Hashtbl.create 8 }
-
-let batch_reset b =
-  Hashtbl.reset b.bt_interp;
-  Hashtbl.reset b.bt_jit
-
-let invoke_batch ?digest ?label ?(interp_only = false) ?(force_oracle = false)
-    ~batch ~memo_key t ~(target : Target.t) ~(profile : Profile.t)
-    (vk : B.vkernel) ~(args : unit -> (string * Eval.arg) list) =
-  let target = Target.resolve target in
-  let d, key, s = resolve ?digest ?label t ~target ~profile vk in
-  let elidable =
-    t.engine = Fast
-    && t.guard.g_oracle = None
-    && t.guard.g_faults = None
-    && (not force_oracle)
-    && not s.ks_quarantined
-  in
-  if not elidable then
-    invoke ~digest:d ?label ~interp_only ~force_oracle t ~target ~profile vk
-      ~args:(args ())
-  else begin
-    note_invocation t s;
-    let tr = t.tracer in
-    match (if interp_only then Interpreter else s.ks_tier) with
-    | Interpreter -> (
-      match Hashtbl.find_opt batch.bt_interp memo_key with
-      | Some cycles ->
-        (* Elided: a co-batched element with bit-identical operands
-           already ran this slot body.  Account as if executed. *)
-        if Tracer.on tr then
-          Tracer.span_begin tr ~name:"exec" [ "tier", Tracer.S "interp" ];
-        t.slot_hits <- t.slot_hits + 1;
-        s.ks_interp_runs <- s.ks_interp_runs + 1;
-        Stats.incr t.st "tier.interp_runs";
-        Stats.observe t.st "tier.interp_cycles" (float_of_int cycles);
-        if Tracer.on tr then
-          Tracer.span_end tr
-            ~attrs:[ "cycles", Tracer.I cycles ]
-            ~name:"exec" ();
-        { r_tier = Interpreter; r_cycles = cycles; r_compile_us = 0.0;
-          r_cache = None; r_outcome = Clean; r_real_compile = false }
-      | None ->
-        let r =
-          interp_invoke t s ~digest:d ~target ~force_check:false vk
-            ~args:(args ())
-        in
-        if r.r_outcome = Clean then
-          Hashtbl.replace batch.bt_interp memo_key r.r_cycles;
-        r)
-    | Jit -> (
-      if Tracer.on tr then Tracer.span_begin tr ~name:"cache_lookup" [];
-      let found = Code_cache.find t.cache key in
-      match found, Hashtbl.find_opt batch.bt_jit memo_key with
-      | Some compiled, Some cycles ->
-        (* Elided: the leader compiled (or hit) this body and executed
-           these exact operands; replay its charge as a cache hit. *)
-        if Tracer.on tr then
-          Tracer.span_end tr
-            ~attrs:[ "outcome", Tracer.S "hit" ]
-            ~name:"cache_lookup" ();
-        if s.ks_cold_compile_us = 0.0 then
-          s.ks_cold_compile_us <- compiled.Compile.compile_time_us;
-        s.ks_jit_runs <- s.ks_jit_runs + 1;
-        Stats.incr t.st "tier.jit_runs";
-        Stats.observe t.st "tier.jit_cycles" (float_of_int cycles);
-        if Tracer.on tr then begin
-          Tracer.span_begin tr ~name:"exec" [ "tier", Tracer.S "jit" ];
-          Tracer.span_end tr
-            ~attrs:[ "cycles", Tracer.I cycles ]
-            ~name:"exec" ()
-        end;
-        { r_tier = Jit; r_cycles = cycles; r_compile_us = 0.0;
-          r_cache = Some Code_cache.Hit; r_outcome = Clean;
-          r_real_compile = false }
-      | found, _ ->
-        let fetched =
-          match found with
-          | Some compiled ->
-            if Tracer.on tr then
-              Tracer.span_end tr
-                ~attrs:[ "outcome", Tracer.S "hit" ]
-                ~name:"cache_lookup" ();
-            Ok (compiled, Code_cache.Hit, 0.0, false)
-          | None ->
-            if Tracer.on tr then
-              Tracer.span_end tr
-                ~attrs:[ "outcome", Tracer.S "miss" ]
-                ~name:"cache_lookup" ();
-            jit_fetch_slow t ~target ~profile ~key vk
-        in
-        let r =
-          jit_run t s ~digest:d ~target ~force_oracle:false vk
-            ~args:(args ()) fetched
-        in
-        if r.r_outcome = Clean && r.r_tier = Jit then
-          Hashtbl.replace batch.bt_jit memo_key r.r_cycles;
-        r)
-  end
+let invoke ?digest ?label ?interp_only ?force_oracle ?discard_store_hit t
+    ~target ~profile vk ~args =
+  invoke_lazy ?digest ?label ?interp_only ?force_oracle ?discard_store_hit t
+    ~target ~profile vk ~args:(Lazy.from_val args)
 
 let migrate_target t ~(from_target : Target.t) ~(to_target : Target.t) =
   let stale =

@@ -127,7 +127,8 @@ type run = {
 }
 
 (** Execute one invocation, choosing the tier; array argument buffers are
-    mutated in place exactly as {!Vapor_harness.Exec.run} would.
+    mutated in place exactly as {!Vapor_harness.Exec.run} would.  This is
+    {!invoke_lazy} with the arguments already built and no batch memo.
 
     [interp_only] (default false) forces the interpreter path for this
     invocation without demoting the kernel — promotion bookkeeping still
@@ -161,22 +162,9 @@ val invoke :
 
 (** {2 Batched invocation}
 
-    A [batch] is the duplicate-operand elision context for one group of
+    A [batch] is the duplicate-operand elision memo for one group of
     co-dispatched invocations of a single kernel digest (the serving
-    layer's batch dispatcher).  Within a batch, elements whose
-    [memo_key] (caller-chosen signature — kernel, target index, scale)
-    matches an element that already ran have bit-identical operands, so
-    the runtime executes the prepared body once and replays the modeled
-    cycle charge for the duplicates, skipping their argument builds and
-    executions.
-
-    Elision applies only on the unguarded fast path (no fault injector,
-    no oracle, no forced probe, [Fast] engine, kernel not quarantined);
-    anything else falls back to plain {!invoke} with [args] forced.
-    Every per-element effect is preserved either way — invocation and
-    hotness accounting, cache LRU touch + hit counters, tier run
-    counters and cycle histograms, slot-body hits, tracer spans — so a
-    batched drain's report is byte-identical to single dispatch. *)
+    layer's batch dispatcher). *)
 
 type batch
 
@@ -186,20 +174,35 @@ val batch_create : unit -> batch
     mid-batch: the memo's target association is stale). *)
 val batch_reset : batch -> unit
 
-(** As {!invoke}, inside [batch]: [args] is forced only when the element
-    actually executes (leader or fallback). *)
-val invoke_batch :
+(** The one invocation body: cache lookup, then store probe or compile,
+    then execution, with every accounting effect of {!invoke}.  [args]
+    is forced only when the invocation actually executes.
+
+    [memo = (batch, signature)] enables duplicate-operand elision: the
+    caller's signature (kernel, target index, scale) names operands that
+    are bit-identical across the batch, so an element whose signature
+    already ran in [batch] — on the same tier, and for the JIT tier on a
+    cached body — replays that execution's modeled cycle charge instead
+    of building its arguments and running.  The memo is honoured only on
+    the unguarded fast path (no fault injector, no oracle, no forced
+    probe, [Fast] engine, kernel not quarantined); everywhere else it is
+    ignored.  Every per-element effect still applies — invocation and
+    hotness accounting, cache LRU touch and hit counters, tier run
+    counters and cycle histograms, slot-body hits, tracer spans other
+    than the skipped stage leaves — so a batched drain's report is
+    byte-identical to single dispatch. *)
+val invoke_lazy :
   ?digest:Digest.t ->
   ?label:string ->
   ?interp_only:bool ->
   ?force_oracle:bool ->
-  batch:batch ->
-  memo_key:string ->
+  ?discard_store_hit:bool ->
+  ?memo:batch * string ->
   t ->
   target:Target.t ->
   profile:Profile.t ->
   B.vkernel ->
-  args:(unit -> (string * Eval.arg) list) ->
+  args:(string * Eval.arg) list Lazy.t ->
   run
 
 (** Rekey all states on [from_target] to [to_target], preserving hotness

@@ -4,8 +4,8 @@
    response service time in virtual cycles.  Executions happen inline, in
    global dispatch order, on the session pool's shards — so the embedded
    replay report is byte-identical for any [sv_domains] value, and (for a
-   permissive config) byte-identical to [Service.replay_sharded] over the
-   same trace.
+   permissive config) byte-identical to [Service.replay] over the same
+   trace.
 
    Nothing here reads the wall clock or spawns a domain: the engine IS
    the reference semantics, which is what lets CI assert byte-identity
@@ -529,8 +529,8 @@ let run ?stats ?tracer (cfg : cfg) (wl : Workload.t) : report =
   (* Lane dispatch takes whole closed batches.  Member timeouts are
      checked first (buffers untouched, slot returned, breaker fed); the
      survivors then execute as one unit on the lane — one
-     [Service.batch_begin] (one elision memo: one cache probe / tier
-     decision / plan-prepare per distinct operand signature) with
+     [Tiered.batch_create] (one elision memo: each distinct operand
+     signature executes once, its duplicates replay the charge) with
      per-element results, breaker verdicts and stall draws preserved.
      The lane stays busy for the sum of the members' service times, and
      releases all of them at once ([lane_load]). *)
@@ -628,7 +628,7 @@ let run ?stats ?tracer (cfg : cfg) (wl : Workload.t) : report =
                     ];
                   Tracer.root_end tr ~name:"batch_dispatch" ()
                 end;
-                let bt = Service.batch_begin pool ~shard in
+                let bt = Tiered.batch_create () in
                 let busy = ref 0 in
                 let executed = ref 0 in
                 List.iter
@@ -642,8 +642,8 @@ let run ?stats ?tracer (cfg : cfg) (wl : Workload.t) : report =
                     if interp_only then incr interp_only_served;
                     if force_oracle then incr probes;
                     let step () =
-                      Service.shard_step_batch ~interp_only ~force_oracle
-                        pool ~batch:bt ev
+                      Service.shard_step ~interp_only ~force_oracle ~batch:bt
+                        pool ~shard ev
                     in
                     let r =
                       match supervisor with

@@ -9,7 +9,7 @@
     {!Vapor_runtime.Service} session pool — so the embedded replay report
     is byte-identical for any [sv_domains] value, and, for a permissive
     config (no deadlines, no faults, equal priorities), byte-identical to
-    [Service.replay_sharded] over the same trace.
+    [Service.replay] over the same trace.
 
     Nothing reads the wall clock or spawns a domain: CI can assert
     byte-identity and exact conservation — every arrival is answered,

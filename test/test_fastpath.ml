@@ -257,12 +257,12 @@ let replay_domains_case () =
   let trace = replay_trace () in
   let cfg = replay_cfg Tiered.Fast in
   let base =
-    Service.report_to_string (Service.replay_sharded ~domains:1 cfg trace)
+    Service.report_to_string (Service.replay ~domains:1 cfg trace)
   in
   List.iter
     (fun d ->
       let r =
-        Service.report_to_string (Service.replay_sharded ~domains:d cfg trace)
+        Service.report_to_string (Service.replay ~domains:d cfg trace)
       in
       check_string (Printf.sprintf "domains=%d report identical" d) base r)
     [ 2; 4 ]

@@ -133,7 +133,7 @@ let deterministic_trace_domains_case () =
   let cfg = replay_cfg () in
   let run domains =
     let tracer = Tracer.create ~wall:false () in
-    ignore (Service.replay_sharded ~tracer ~domains cfg trace);
+    ignore (Service.replay ~tracer ~domains cfg trace);
     Tracer.to_jsonl tracer
   in
   let base = run 1 in
@@ -203,7 +203,7 @@ let gauge_pooling_case () =
   let cfg = replay_cfg () in
   let run domains =
     let st = Stats.create () in
-    ignore (Service.replay_sharded ~stats:st ~domains cfg trace);
+    ignore (Service.replay ~stats:st ~domains cfg trace);
     st
   in
   let d1 = run 1 and d4 = run 4 in

@@ -156,7 +156,7 @@ let bench_identity_case () =
     rep.Serve.sr_breaker_opens;
   let embedded = Service.report_to_string rep.Serve.sr_service in
   let sharded =
-    Service.report_to_string (Service.replay_sharded ~domains:2 cfg trace)
+    Service.report_to_string (Service.replay ~domains:2 cfg trace)
   in
   check_string "serve == sharded replay, byte-identical" sharded embedded;
   let plain = Service.report_to_string (Service.replay cfg trace) in
@@ -373,22 +373,81 @@ let chaos_conservation_case () =
 
 (* --- batched dispatch ----------------------------------------------------- *)
 
+(* What batching may not change, rendered for comparison against the
+   unbatched run: every counter, histogram and labeled series, and every
+   gauge outside serve.* (formation rightly moves serve.batches,
+   serve.blocked, serve.mean_batch_size and serve.virtual_cycles). *)
+let runtime_view (st : Stats.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun n -> Printf.bprintf b "counter %s %d\n" n (Stats.counter st n))
+    (Stats.counter_names st);
+  List.iter
+    (fun n ->
+      match Stats.summary st n with
+      | Some s ->
+        Printf.bprintf b "histogram %s %d %h %h %h\n" n s.Stats.s_count
+          s.Stats.s_sum s.Stats.s_min s.Stats.s_max
+      | None -> ())
+    (Stats.histogram_names st);
+  List.iter
+    (fun ((n, k, v), x) -> Printf.bprintf b "labeled %s{%s=%s} %h\n" n k v x)
+    (Stats.labeled_series st);
+  List.iter
+    (fun n ->
+      if not (String.starts_with ~prefix:"serve." n) then
+        Printf.bprintf b "gauge %s %h\n" n
+          (Option.value ~default:nan (Stats.gauge st n)))
+    (Stats.gauge_names st);
+  Buffer.contents b
+
+(* Each event's depth-0/1 spans of a deterministic trace, names and
+   attrs, with the ordinal dropped.  The batch_dispatch markers and the
+   stage leaves under exec are excluded: an elided member rightly skips
+   its layout and simulate leaves, which shifts later ordinals. *)
+let span_view jsonl =
+  String.split_on_char '\n' jsonl
+  |> List.filter_map (fun line ->
+         let fields = String.split_on_char ',' line in
+         if
+           List.exists
+             (String.starts_with ~prefix:"\"name\":\"batch_dispatch\"")
+             fields
+           || not
+                (List.mem "\"depth\":0" fields || List.mem "\"depth\":1" fields)
+         then None
+         else
+           Some
+             (String.concat ","
+                (List.filter
+                   (fun f -> not (String.starts_with ~prefix:"\"ord\":" f))
+                   fields)))
+  |> String.concat "\n"
+
 (* Batching is semantics-free: for any batch config and any domain count
    the embedded replay report is byte-identical to a plain replay of the
-   same trace (same invocations, cycles, promotions, cache hits). *)
+   same trace (same invocations, cycles, promotions, cache hits), and an
+   elided member cannot be told apart from an executed one — metrics and
+   depth-0/1 spans equal the same domain count's unbatched run. *)
 let batch_identity_case () =
   let trace = Trace.standard ~length:240 ~n_targets:1 () in
   let cfg = base_cfg () in
   let plain = Service.report_to_string (Service.replay cfg trace) in
   List.iter
     (fun domains ->
+      let run (max_batch, batch_window) =
+        let tracer = Vapor_obs.Tracer.create ~wall:false () in
+        let rep =
+          Serve.run ~tracer
+            (serve_cfg ~domains ~budget:16 ~max_batch ~batch_window cfg)
+            (Workload.of_trace ~streams:4 trace)
+        in
+        rep, Vapor_obs.Tracer.to_jsonl tracer
+      in
+      let unbatched, unbatched_spans = run (1, 1024) in
       List.iter
         (fun (max_batch, batch_window) ->
-          let rep =
-            Serve.run
-              (serve_cfg ~domains ~budget:16 ~max_batch ~batch_window cfg)
-              (Workload.of_trace ~streams:4 trace)
-          in
+          let rep, spans = run (max_batch, batch_window) in
           let label =
             Printf.sprintf "domains=%d max_batch=%d window=%d" domains
               max_batch batch_window
@@ -398,7 +457,15 @@ let batch_identity_case () =
           check_int (label ^ ": nothing lost") 0 rep.Serve.sr_lost;
           check_int
             (label ^ ": everything answered")
-            240 rep.Serve.sr_answered)
+            240 rep.Serve.sr_answered;
+          let stats r = r.Serve.sr_service.Service.rp_stats in
+          check_string
+            (label ^ ": metrics == unbatched")
+            (runtime_view (stats unbatched))
+            (runtime_view (stats rep));
+          check_string
+            (label ^ ": depth-0/1 spans == unbatched")
+            (span_view unbatched_spans) (span_view spans))
         [ (1, 1024); (4, 512); (32, 32_768) ])
     [ 1; 2; 4 ]
 

@@ -217,7 +217,7 @@ let sharded_publish_case () =
   let cold_st = Stats.create () in
   let cold =
     Service.report_to_string
-      (Service.replay_sharded ~stats:cold_st ~domains:4 (cfg_with (Some s))
+      (Service.replay ~stats:cold_st ~domains:4 (cfg_with (Some s))
          trace)
   in
   let published = gauge cold_st "store.publishes" in
@@ -238,7 +238,7 @@ let sharded_publish_case () =
   let warm_st = Stats.create () in
   let warm =
     Service.report_to_string
-      (Service.replay_sharded ~stats:warm_st ~domains:4
+      (Service.replay ~stats:warm_st ~domains:4
          (cfg_with (Some warm_store)) trace)
   in
   check_string "warm domains=4 byte-identical" cold warm;

@@ -853,7 +853,16 @@ let run_jit_profile () =
         s.jp_kernels s.jp_stage_ns s.jp_code_bytes s.jp_model_us
         (100.0 *. s.jp_mean_share))
     summaries;
-  summaries
+  Printf.printf
+    "\n  JIT stage scaling under mono (best-of-7 wall ns on N copies of one \n\
+    \  loop and on one loop of N statements, N = 2..128; exponent = fitted \n\
+    \  slope of log ns over log N, 1.0 = linear; measured, not gated)\n\n%!";
+  let scaling =
+    Jit_report.scaling ~targets:Vapor_targets.Scalar_target.all
+      ~profile:Profile.mono
+  in
+  print_string (Jit_report.scaling_to_string scaling);
+  summaries, scaling
 
 let run_fastpath_bench ~json () =
   Printf.printf "\nFast-path engine wall-clock benchmark\n";
@@ -995,7 +1004,7 @@ let run_fastpath_bench ~json () =
        bodies, and warm-start from the store without recompiling\n";
     exit 1
   end;
-  let jit_rows = run_jit_profile () in
+  let jit_rows, jit_scaling = run_jit_profile () in
   if json then begin
     let buf = Buffer.create 1024 in
     Printf.bprintf buf "{\n";
@@ -1101,7 +1110,9 @@ let run_fastpath_bench ~json () =
           s.jp_mean_share
           (if i = List.length jit_rows - 1 then "" else ","))
       jit_rows;
-    Printf.bprintf buf "  ]\n";
+    Printf.bprintf buf "  ],\n";
+    Printf.bprintf buf "  \"jit_scaling\": %s\n"
+      (Jit_report.scaling_to_json jit_scaling);
     Printf.bprintf buf "}\n";
     let oc = open_out "BENCH.json" in
     output_string oc (Buffer.contents buf);

@@ -502,7 +502,7 @@ let runtime_term p =
   let+ target = accepted_by [ Replay; Chaos; Bench; Script ] target_arg "sse" p
   and+ profile = accepted_by all_presets profile_arg Profile.gcc4cli p
   and+ hotness =
-    option_flag ~for_:all_presets "hotness" ~docv:"N"
+    option_flag ~for_:all_presets ~check:(at_least 0) "hotness" ~docv:"N"
       ~doc:
         "Interpreter invocations before a kernel body is promoted to the JIT \
          tier."
@@ -587,7 +587,9 @@ let source_term p =
       Arg.(some (list string)) None p
   and+ streams =
     (* one declaration, two defaults: 0 keeps chaos-replay a plain replay *)
-    option_flag ~for_:[ Chaos; Bench; Fleet ] "streams" ~docv:"N"
+    option_flag ~for_:[ Chaos; Bench; Fleet ]
+      ~check:(at_least (if p = Chaos then 0 else 1))
+      "streams" ~docv:"N"
       ~doc:
         "Concurrent ingress streams the trace is split across.  On \
          chaos-replay the default 0 is the plain replay; $(docv) > 0 drives \
@@ -598,7 +600,7 @@ let source_term p =
       (if p = Chaos then 0 else 4)
       p
   and+ queue_cap =
-    option_flag ~for_:[ Bench ] "queue-cap" ~docv:"N"
+    option_flag ~for_:[ Bench ] ~check:(at_least 1) "queue-cap" ~docv:"N"
       ~doc:"Per-stream ingress queue bound." Arg.int 16 p
   and+ policy =
     option_flag ~for_:[ Bench ] "policy" ~docv:"POLICY"
@@ -617,13 +619,14 @@ let source_term p =
       ~doc:"Absolute virtual-cycle cutoff applied to every stream."
       Arg.(some int) None p
   and+ interval =
-    option_flag ~for_:[ Bench ] "interval" ~docv:"CYCLES"
+    option_flag ~for_:[ Bench ] ~check:(at_least 0) "interval" ~docv:"CYCLES"
       ~doc:
         "Virtual cycles between successive arrivals (0 floods everything at \
          t=0 — the overload setting)."
       Arg.int 0 p
   and+ priority_levels =
-    option_flag ~for_:[ Bench ] "priority-levels" ~docv:"N"
+    option_flag ~for_:[ Bench ] ~check:(at_least 1) "priority-levels"
+      ~docv:"N"
       ~doc:
         "Spread streams across $(docv) priority levels; sheds hit the lowest \
          priority first."
@@ -687,17 +690,18 @@ type serving = {
 let serving_term p =
   let open Term.Syntax in
   let+ domains =
-    option_flag ~for_:[ Replay; Bench; Fleet; Script ] "domains" ~docv:"N"
+    option_flag ~for_:[ Replay; Bench; Fleet; Script ] ~check:(at_least 1)
+      "domains" ~docv:"N"
       ~doc:
         "Shard the run across $(docv) session-pool shards (the trace is \
          partitioned by kernel digest; the report is identical for any \
          $(docv)).  serve-replay runs the shards on OCaml domains."
       Arg.int 1 p
   and+ lanes =
-    option_flag ~for_:serving_presets "lanes" ~docv:"N"
+    option_flag ~for_:serving_presets ~check:(at_least 1) "lanes" ~docv:"N"
       ~doc:"Concurrency lanes (virtual service slots)." Arg.int 2 p
   and+ budget =
-    option_flag ~for_:serving_presets "budget" ~docv:"N"
+    option_flag ~for_:serving_presets ~check:(at_least 1) "budget" ~docv:"N"
       ~doc:"Global in-flight admission budget." Arg.int 8 p
   and+ backlog =
     option_flag ~for_:serving_presets "backlog" ~docv:"N"
@@ -744,13 +748,15 @@ let serving_term p =
          verify'."
       Arg.(some string) None p
   and+ restart_limit =
-    option_flag ~for_:serving_presets "restart-limit" ~docv:"N"
+    option_flag ~for_:serving_presets ~check:(at_least 1) "restart-limit"
+      ~docv:"N"
       ~doc:
         "Restarts tolerated inside one backoff streak before a crashing shard \
          degrades to interp-only serving (a further crash sheds it typed)."
       Arg.int 3 p
   and+ lane_stall_limit =
-    option_flag ~for_:serving_presets "lane-stall-limit" ~docv:"CYCLES"
+    option_flag ~for_:serving_presets ~check:(at_least 1) "lane-stall-limit"
+      ~docv:"CYCLES"
       ~doc:
         "Virtual cycles a wedged lane may hold its members before the watchdog \
          times them out."

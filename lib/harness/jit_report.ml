@@ -321,6 +321,110 @@ let run ?repeats ?invocations ?scale ?kernels ~(targets : Target.t list)
         entries)
     targets
 
+(* --- measured scaling ----------------------------------------------------
+
+   How each JIT stage's wall time grows with the size of what it compiles,
+   on two synthetic shapes built from the saxpy loop: N copies of the loop
+   (N loop regions, one after another) and one loop of N statements (one
+   region, N times the body).  The exponent is the least-squares slope of
+   log time over log N, with its R^2; 1.0 is linear. *)
+
+type shape =
+  | Copies
+  | Statements
+
+let shape_name = function
+  | Copies -> "copies"
+  | Statements -> "statements"
+
+let shape_source shape n =
+  let stmt = "    y[i] = a * x[i] + y[i];\n" in
+  let loop body = "  for (i = 0; i < n; i++) {\n" ^ body ^ "  }\n" in
+  let body =
+    match shape with
+    | Copies -> String.concat "" (List.init n (fun _ -> loop stmt))
+    | Statements -> loop (String.concat "" (List.init n (fun _ -> stmt)))
+  in
+  Printf.sprintf "kernel %s_%d(f32 x[], f32 y[], f32 a, s32 n) {\n%s}\n"
+    (shape_name shape) n body
+
+let shape_bytecode shape n =
+  (Driver.vectorize
+     (Vapor_frontend.Typecheck.compile_one (shape_source shape n)))
+    .Driver.vkernel
+
+let scaling_sizes = [ 2; 4; 8; 16; 32; 64; 128 ]
+let stages = [ "lower"; "emit"; "regalloc"; "prepare" ]
+
+type scaling_row = {
+  sc_shape : string;
+  sc_target : string;
+  sc_stage : string;
+  sc_ns : (int * float) list;  (** (N, best-of-7 ns) *)
+  sc_exponent : float;
+  sc_r2 : float;
+}
+
+(* Least-squares fit of log y = e log x + c: (e, R^2). *)
+let loglog_fit points =
+  let pts = List.map (fun (x, y) -> log (float_of_int x), log y) points in
+  let k = float_of_int (List.length pts) in
+  let mean f = List.fold_left (fun a p -> a +. f p) 0.0 pts /. k in
+  let mx = mean fst and my = mean snd in
+  let sum f = List.fold_left (fun a p -> a +. f p) 0.0 pts in
+  let sxy = sum (fun (x, y) -> (x -. mx) *. (y -. my)) in
+  let sxx = sum (fun (x, _) -> (x -. mx) ** 2.0) in
+  let syy = sum (fun (_, y) -> (y -. my) ** 2.0) in
+  if sxx = 0.0 || syy = 0.0 then 0.0, 0.0
+  else sxy /. sxx, sxy *. sxy /. (sxx *. syy)
+
+(* Each stage's best-of-7 wall ns for one compile, as an association
+   list over [stages]. *)
+let best_stage_ns ~target ~profile vk =
+  let agg = Stage.agg_create () in
+  let best = Array.make (List.length stages) infinity in
+  for _ = 1 to 7 do
+    Stage.agg_reset agg;
+    ignore
+      (Stage.with_sink
+         (Some (Stage.agg_sink agg))
+         (fun () -> Compile.compile_checked ~target ~profile vk));
+    List.iteri
+      (fun i st -> best.(i) <- Float.min best.(i) (Stage.agg_ns agg st))
+      stages
+  done;
+  List.combine stages (Array.to_list best)
+
+let scaling ~(targets : Target.t list) ~(profile : Profile.t) :
+    scaling_row list =
+  List.concat_map
+    (fun shape ->
+      let kernels =
+        List.map (fun n -> n, shape_bytecode shape n) scaling_sizes
+      in
+      List.concat_map
+        (fun (target : Target.t) ->
+          let timed =
+            List.map
+              (fun (n, vk) -> n, best_stage_ns ~target ~profile vk)
+              kernels
+          in
+          List.map
+            (fun st ->
+              let ns = List.map (fun (n, at) -> n, List.assoc st at) timed in
+              let e, r2 = loglog_fit ns in
+              {
+                sc_shape = shape_name shape;
+                sc_target = target.Target.name;
+                sc_stage = st;
+                sc_ns = ns;
+                sc_exponent = e;
+                sc_r2 = r2;
+              })
+            stages)
+        targets)
+    [ Copies; Statements ]
+
 (* --- rendering ---------------------------------------------------------- *)
 
 let table_to_string ?(invocations = 1000) (rows : row list) =
@@ -373,4 +477,42 @@ let to_json (rows : row list) =
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Buffer.add_string buf "]\n";
+  Buffer.contents buf
+
+let scaling_to_string (rows : scaling_row list) =
+  let buf = Buffer.create 4096 in
+  let ns_at n r = Option.value ~default:0.0 (List.assoc_opt n r.sc_ns) in
+  let lo, hi =
+    match rows with
+    | r :: _ -> fst (List.hd r.sc_ns), fst (List.hd (List.rev r.sc_ns))
+    | [] -> 0, 0
+  in
+  Printf.bprintf buf "  %-10s %-8s %-8s %8s %6s %12s %12s\n" "shape"
+    "target" "stage" "exponent" "R^2"
+    (Printf.sprintf "ns @N=%d" lo)
+    (Printf.sprintf "ns @N=%d" hi);
+  List.iter
+    (fun r ->
+      Printf.bprintf buf "  %-10s %-8s %-8s %8.2f %6.3f %12.0f %12.0f\n"
+        r.sc_shape r.sc_target r.sc_stage r.sc_exponent r.sc_r2 (ns_at lo r)
+        (ns_at hi r))
+    rows;
+  Buffer.contents buf
+
+let scaling_to_json (rows : scaling_row list) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "[\n";
+  List.iteri
+    (fun i r ->
+      Printf.bprintf buf
+        "    {\"shape\": \"%s\", \"target\": \"%s\", \"stage\": \"%s\", \
+         \"exponent\": %.3f, \"r2\": %.4f, \"points\": [%s]}%s\n"
+        r.sc_shape (json_escape r.sc_target) r.sc_stage r.sc_exponent r.sc_r2
+        (String.concat ", "
+           (List.map
+              (fun (n, ns) -> Printf.sprintf "{\"n\": %d, \"ns\": %.0f}" n ns)
+              r.sc_ns))
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  Buffer.add_string buf "  ]";
   Buffer.contents buf

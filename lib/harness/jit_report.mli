@@ -54,3 +54,33 @@ val run :
 
 val table_to_string : ?invocations:int -> row list -> string
 val to_json : row list -> string
+
+(** {2 Measured scaling}
+
+    Per-stage wall time against kernel size on two synthetic shapes built
+    from the saxpy loop, with a least-squares log-log exponent per
+    (shape, target, stage): 1.0 is linear. *)
+
+type shape =
+  | Copies  (** N copies of one loop *)
+  | Statements  (** one loop of N statements *)
+
+(** The vectorized bytecode of a shape at size N. *)
+val shape_bytecode : shape -> int -> Vapor_vecir.Bytecode.vkernel
+
+type scaling_row = {
+  sc_shape : string;
+  sc_target : string;
+  sc_stage : string;  (** lower | emit | regalloc | prepare *)
+  sc_ns : (int * float) list;  (** (N, best-of-7 wall ns) *)
+  sc_exponent : float;  (** fitted slope of log ns over log N *)
+  sc_r2 : float;
+}
+
+(** Both shapes at N = 2, 4, ..., 128 on every target, best of 7, in
+    (shape, target, stage) order. *)
+val scaling :
+  targets:Target.t list -> profile:Profile.t -> scaling_row list
+
+val scaling_to_string : scaling_row list -> string
+val scaling_to_json : scaling_row list -> string

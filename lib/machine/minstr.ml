@@ -93,69 +93,91 @@ let plain_addr sym = { sym; base = None; index = None; scale = 1; disp = 0 }
 
 (* --- register usage, for liveness and allocation ---------------------- *)
 
-let addr_uses a =
-  (match a.base with Some r -> [ r ] | None -> [])
-  @ (match a.index with Some r -> [ r ] | None -> [])
+let addr_regs use a =
+  (match a.base with Some r -> use r | None -> ());
+  match a.index with Some r -> use r | None -> ()
 
-(* (defs, uses) of one instruction. *)
-let rec defs_uses (i : t) : reg list * reg list =
+(* Calls [use] on each register [i] reads, then [def] on each one it
+   writes, in a fixed operand order (the allocator numbers spill scratch
+   registers in it).  Allocates nothing. *)
+let rec iter_regs ~use ~def (i : t) =
   match i with
-  | Li (d, _) | Lfi (d, _) -> [ d ], []
-  | Mov (d, s) -> [ d ], [ s ]
-  | Lea (d, a) -> [ d ], addr_uses a
-  | Sop (_, _, d, a, b) | Scmp (_, _, d, a, b) -> [ d ], [ a; b ]
-  | Sunop (_, _, d, s) -> [ d ], [ s ]
-  | Cmov (d, c, a, b) -> [ d ], [ c; a; b ]
-  | Cvt (_, _, d, s) -> [ d ], [ s ]
-  | Load (_, d, a) -> [ d ], addr_uses a
-  | Store (_, a, s) -> [], s :: addr_uses a
-  | VLoad (_, _, d, a) -> [ d ], addr_uses a
-  | VStore (_, _, a, s) -> [], s :: addr_uses a
-  | Vop (_, _, d, a, b) -> [ d ], [ a; b ]
-  | Vunop (_, _, d, s) -> [ d ], [ s ]
-  | Vshift (_, _, d, s, amt) -> [ d ], [ s; amt ]
-  | Vsplat (_, d, s) -> [ d ], [ s ]
-  | Viota (_, d, s, _) -> [ d ], [ s ]
-  | Vinsert (_, d, v, _, s) -> [ d ], [ v; s ]
-  | Vreduce (_, _, d, s) -> [ d ], [ s ]
-  | Lvsr (_, d, a) -> [ d ], addr_uses a
-  | Vperm (_, d, a, b, t) -> [ d ], [ a; b; t ]
-  | Vwidenmul (_, _, d, a, b) -> [ d ], [ a; b ]
-  | Vdot (_, d, a, b, acc) -> [ d ], [ a; b; acc ]
-  | Vunpack (_, _, d, s) -> [ d ], [ s ]
-  | Vpack (_, d, a, b) -> [ d ], [ a; b ]
-  | Vcvt (_, _, d, s) -> [ d ], [ s ]
-  | Vextract (_, _, _, d, parts) -> [ d ], parts
-  | Vinterleave (_, _, d, a, b) -> [ d ], [ a; b ]
-  | Vcmp (_, _, d, a, b) -> [ d ], [ a; b ]
-  | Vsel (_, d, m, a, b) -> [ d ], [ m; a; b ]
-  | VMaskedLoad (_, d, m, a) -> [ d ], m :: addr_uses a
-  | VMaskedStore (_, a, m, s) -> [], m :: s :: addr_uses a
-  | VSpill (_, s) -> [], [ s ]
-  | VReload (d, _) -> [ d ], []
-  | Label _ | Jmp _ -> [], []
-  | Br (_, a, b, _) -> [], [ a; b ]
-  | Lib inner -> defs_uses inner
+  | Li (d, _) | Lfi (d, _) -> def d
+  | Mov (d, s)
+  | Sunop (_, _, d, s)
+  | Cvt (_, _, d, s)
+  | Vunop (_, _, d, s)
+  | Vsplat (_, d, s)
+  | Viota (_, d, s, _)
+  | Vreduce (_, _, d, s)
+  | Vunpack (_, _, d, s)
+  | Vcvt (_, _, d, s) ->
+    use s;
+    def d
+  | Lea (d, a) | Load (_, d, a) | VLoad (_, _, d, a) | Lvsr (_, d, a) ->
+    addr_regs use a;
+    def d
+  | Sop (_, _, d, a, b)
+  | Scmp (_, _, d, a, b)
+  | Vop (_, _, d, a, b)
+  | Vshift (_, _, d, a, b)
+  | Vinsert (_, d, a, _, b)
+  | Vwidenmul (_, _, d, a, b)
+  | Vpack (_, d, a, b)
+  | Vinterleave (_, _, d, a, b)
+  | Vcmp (_, _, d, a, b) ->
+    use a;
+    use b;
+    def d
+  | Cmov (d, a, b, c)
+  | Vperm (_, d, a, b, c)
+  | Vdot (_, d, a, b, c)
+  | Vsel (_, d, a, b, c) ->
+    use a;
+    use b;
+    use c;
+    def d
+  | Store (_, a, s) | VStore (_, _, a, s) ->
+    use s;
+    addr_regs use a
+  | Vextract (_, _, _, d, parts) ->
+    List.iter use parts;
+    def d
+  | VMaskedLoad (_, d, m, a) ->
+    use m;
+    addr_regs use a;
+    def d
+  | VMaskedStore (_, a, m, s) ->
+    use m;
+    use s;
+    addr_regs use a
+  | VSpill (_, s) -> use s
+  | VReload (d, _) -> def d
+  | Label _ | Jmp _ -> ()
+  | Br (_, a, b, _) ->
+    use a;
+    use b
+  | Lib inner -> iter_regs ~use ~def inner
+
+let map_addr f a =
+  { a with base = Option.map f a.base; index = Option.map f a.index }
 
 (* Rewrite registers with [f]. *)
 let rec map_regs f (i : t) : t =
-  let fa a =
-    { a with base = Option.map f a.base; index = Option.map f a.index }
-  in
   match i with
   | Li (d, v) -> Li (f d, v)
   | Lfi (d, v) -> Lfi (f d, v)
   | Mov (d, s) -> Mov (f d, f s)
-  | Lea (d, a) -> Lea (f d, fa a)
+  | Lea (d, a) -> Lea (f d, map_addr f a)
   | Sop (op, ty, d, a, b) -> Sop (op, ty, f d, f a, f b)
   | Sunop (op, ty, d, s) -> Sunop (op, ty, f d, f s)
   | Scmp (op, ty, d, a, b) -> Scmp (op, ty, f d, f a, f b)
   | Cmov (d, c, a, b) -> Cmov (f d, f c, f a, f b)
   | Cvt (t1, t2, d, s) -> Cvt (t1, t2, f d, f s)
-  | Load (ty, d, a) -> Load (ty, f d, fa a)
-  | Store (ty, a, s) -> Store (ty, fa a, f s)
-  | VLoad (k, ty, d, a) -> VLoad (k, ty, f d, fa a)
-  | VStore (k, ty, a, s) -> VStore (k, ty, fa a, f s)
+  | Load (ty, d, a) -> Load (ty, f d, map_addr f a)
+  | Store (ty, a, s) -> Store (ty, map_addr f a, f s)
+  | VLoad (k, ty, d, a) -> VLoad (k, ty, f d, map_addr f a)
+  | VStore (k, ty, a, s) -> VStore (k, ty, map_addr f a, f s)
   | Vop (op, ty, d, a, b) -> Vop (op, ty, f d, f a, f b)
   | Vunop (op, ty, d, s) -> Vunop (op, ty, f d, f s)
   | Vshift (op, ty, d, s, amt) -> Vshift (op, ty, f d, f s, f amt)
@@ -163,7 +185,7 @@ let rec map_regs f (i : t) : t =
   | Viota (ty, d, s, inc) -> Viota (ty, f d, f s, inc)
   | Vinsert (ty, d, v, n, s) -> Vinsert (ty, f d, f v, n, f s)
   | Vreduce (op, ty, d, s) -> Vreduce (op, ty, f d, f s)
-  | Lvsr (ty, d, a) -> Lvsr (ty, f d, fa a)
+  | Lvsr (ty, d, a) -> Lvsr (ty, f d, map_addr f a)
   | Vperm (ty, d, a, b, t) -> Vperm (ty, f d, f a, f b, f t)
   | Vwidenmul (h, ty, d, a, b) -> Vwidenmul (h, ty, f d, f a, f b)
   | Vdot (ty, d, a, b, acc) -> Vdot (ty, f d, f a, f b, f acc)
@@ -175,8 +197,8 @@ let rec map_regs f (i : t) : t =
   | Vinterleave (h, ty, d, a, b) -> Vinterleave (h, ty, f d, f a, f b)
   | Vcmp (op, ty, d, a, b) -> Vcmp (op, ty, f d, f a, f b)
   | Vsel (ty, d, m, a, b) -> Vsel (ty, f d, f m, f a, f b)
-  | VMaskedLoad (ty, d, m, a) -> VMaskedLoad (ty, f d, f m, fa a)
-  | VMaskedStore (ty, a, m, s) -> VMaskedStore (ty, fa a, f m, f s)
+  | VMaskedLoad (ty, d, m, a) -> VMaskedLoad (ty, f d, f m, map_addr f a)
+  | VMaskedStore (ty, a, m, s) -> VMaskedStore (ty, map_addr f a, f m, f s)
   | VSpill (slot, s) -> VSpill (slot, f s)
   | VReload (d, slot) -> VReload (f d, slot)
   | Label _ | Jmp _ -> i

@@ -9,7 +9,18 @@
    The number of *allocatable* registers is a code-generator quality knob:
    the Mono profile exposes fewer, producing real spill traffic whose
    cycles the simulator then charges — this is mechanism behind the
-   paper's "lack of proper global register allocation" effects. *)
+   paper's "lack of proper global register allocation" effects.
+
+   Data layout.  One pass over the function records every register operand
+   as one int in a flat array, in [Minstr.iter_regs] order, so each
+   instruction's operands are read once.  Registers are then numbered
+   densely, the three classes one after another ([key = base.(class) +
+   virtual id]), and operands become [key * 2 + def].  Live ranges and
+   assignments are int arrays indexed by key; the interval order is a
+   counting sort by start; the free and active sets are small int arrays.
+   Nothing allocates per instruction except the rewritten instructions
+   themselves, and the whole allocation is linear in the function's size
+   for structured loops. *)
 
 open Vapor_ir
 module Target = Vapor_targets.Target
@@ -20,325 +31,436 @@ type budget = {
   b_vr : int;
 }
 
-let budget_of_cls b (cls : Minstr.cls) =
-  match cls with
-  | Minstr.GPR -> b.b_gpr
-  | Minstr.FPR -> b.b_fpr
-  | Minstr.VR -> b.b_vr
-
-(* Loop regions: [start,stop] instruction index ranges of backedges. *)
+(* Loop regions: [start,stop] instruction index ranges of backedges, latest
+   backedge first. *)
 let loop_regions (instrs : Minstr.t array) =
-  let label_pos = Hashtbl.create 16 in
+  let label_pos = Hashtbl.create 16 and jumps = ref [] in
   Array.iteri
     (fun pc ins ->
       match ins with
       | Minstr.Label l -> Hashtbl.replace label_pos l pc
+      | Minstr.Jmp l | Minstr.Br (_, _, _, l) -> jumps := (pc, l) :: !jumps
       | _ -> ())
     instrs;
-  let regions = ref [] in
-  Array.iteri
-    (fun pc ins ->
-      let target =
-        match ins with
-        | Minstr.Jmp l | Minstr.Br (_, _, _, l) -> Hashtbl.find_opt label_pos l
-        | _ -> None
-      in
-      match target with
-      | Some t when t < pc -> regions := (t, pc) :: !regions
-      | Some _ | None -> ())
-    instrs;
-  !regions
+  List.filter_map
+    (fun (pc, l) ->
+      match Hashtbl.find_opt label_pos l with
+      | Some t when t < pc -> Some (t, pc)
+      | Some _ | None -> None)
+    !jumps
 
-type interval = {
-  vreg : int;
-  mutable start_ : int;
-  mutable stop : int;
-  mutable first_def : int; (* max_int when never defined (parameters) *)
-}
+(* Register classes as dense indices. *)
+let classes = [| Minstr.GPR; Minstr.FPR; Minstr.VR |]
 
-(* Compute live intervals for class [cls], extended across loop backedges
-   only for values genuinely live across iterations:
+let cls_index (cls : Minstr.cls) =
+  match cls with
+  | Minstr.GPR -> 0
+  | Minstr.FPR -> 1
+  | Minstr.VR -> 2
 
-   - defined before a loop and used inside it: live until the loop's end
-     (the use recurs every iteration);
-   - used before being defined inside a loop (loop-carried): live across
-     the whole loop;
-   - temporaries defined then used within one iteration stay short.
+(* The class of a dense key, given the class bases. *)
+let key_cls (base : int array) rk =
+  if rk < base.(1) then 0 else if rk < base.(2) then 1 else 2
 
-   [pinned] virtual registers (parameters, seeded before execution) are
-   live from entry. *)
-let intervals ?(pinned = []) cls (instrs : Minstr.t array) regions =
-  let tbl : (int, interval) Hashtbl.t = Hashtbl.create 64 in
-  let touch ~is_def pc (r : Minstr.reg) =
-    if r.Minstr.cls = cls then begin
-      let iv =
-        match Hashtbl.find_opt tbl r.Minstr.id with
-        | Some iv -> iv
-        | None ->
-          let iv =
-            { vreg = r.Minstr.id; start_ = pc; stop = pc; first_def = max_int }
-          in
-          Hashtbl.replace tbl r.Minstr.id iv;
-          iv
-      in
-      if pc < iv.start_ then iv.start_ <- pc;
-      if pc > iv.stop then iv.stop <- pc;
-      if is_def && pc < iv.first_def then iv.first_def <- pc
-    end
-  in
-  Array.iteri
-    (fun pc ins ->
-      let defs, uses = Minstr.defs_uses ins in
-      List.iter (touch ~is_def:false pc) uses;
-      List.iter (touch ~is_def:true pc) defs)
-    instrs;
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt tbl id with
-      | Some iv -> iv.start_ <- 0
-      | None -> ())
-    pinned;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun _ iv ->
-        List.iter
-          (fun (lo, hi) ->
-            let uses_inside = iv.stop >= lo && iv.start_ <= hi in
-            if uses_inside then begin
-              let live_through = iv.start_ < lo (* defined before loop *) in
-              let carried =
-                (* first occurrence inside the loop is a use *)
-                iv.start_ >= lo && iv.first_def > iv.start_
-              in
-              if (live_through || carried) && hi > iv.stop then begin
-                iv.stop <- hi;
-                changed := true
-              end
-            end)
-          regions)
-      tbl
-  done;
-  Hashtbl.fold (fun _ iv acc -> iv :: acc) tbl []
-  |> List.sort (fun a b -> compare (a.start_, a.vreg) (b.start_, b.vreg))
-
-type assignment =
-  | Phys of int
-  | Slot of int (* stack slot index (per class) *)
-
-(* Allocate one class; returns assignment per vreg and slot count. *)
-let allocate_class ?pinned cls instrs regions nphys =
-  let ivs = intervals ?pinned cls instrs regions in
-  let assign : (int, assignment) Hashtbl.t = Hashtbl.create 64 in
-  let free = ref (List.init nphys (fun i -> i)) in
-  let active : interval list ref = ref [] in
-  let slots = ref 0 in
-  let expire pos =
-    let keep, dead = List.partition (fun iv -> iv.stop >= pos) !active in
-    List.iter
-      (fun iv ->
-        match Hashtbl.find_opt assign iv.vreg with
-        | Some (Phys p) -> free := p :: !free
-        | Some (Slot _) | None -> ())
-      dead;
-    active := keep
-  in
-  List.iter
-    (fun iv ->
-      expire iv.start_;
-      match !free with
-      | p :: rest ->
-        free := rest;
-        Hashtbl.replace assign iv.vreg (Phys p);
-        active := iv :: !active
-      | [] ->
-        (* Spill the active interval ending furthest away (or this one). *)
-        let victim =
-          List.fold_left
-            (fun acc cand -> if cand.stop > acc.stop then cand else acc)
-            iv !active
-        in
-        if victim == iv then begin
-          Hashtbl.replace assign iv.vreg (Slot !slots);
-          incr slots
-        end
-        else begin
-          let p =
-            match Hashtbl.find assign victim.vreg with
-            | Phys p -> p
-            | Slot _ -> assert false
-          in
-          Hashtbl.replace assign victim.vreg (Slot !slots);
-          incr slots;
-          Hashtbl.replace assign iv.vreg (Phys p);
-          active := iv :: List.filter (fun a -> a != victim) !active
-        end)
-    ivs;
-  assign, !slots
+(* Scratch registers reserved per class for spill rewriting (Vdot can need
+   four distinct vector operands). *)
+let scratch_of c = if c = 2 then 4 else 3
 
 (* Bytes per spill slot of a scalar class. *)
-let slot_bytes (cls : Minstr.cls) =
-  match cls with
-  | Minstr.GPR | Minstr.FPR -> 8
-  | Minstr.VR -> invalid_arg "slot_bytes: vectors use VSpill slots"
+let slot_bytes = 8
 
 (* The memory type used to spill a scalar register of a class. *)
-let spill_ty (cls : Minstr.cls) =
-  match cls with
-  | Minstr.GPR -> Src_type.I64
-  | Minstr.FPR -> Src_type.F64
-  | Minstr.VR -> invalid_arg "spill_ty: vectors use VSpill slots"
+let spill_ty c =
+  match c with
+  | 0 -> Src_type.I64
+  | 1 -> Src_type.F64
+  | _ -> invalid_arg "spill_ty: vectors use VSpill slots"
+
+(* Loop regions as arrays sorted by start, with the running maximum of
+   their ends. *)
+type loops = {
+  lo : int array;
+  hi : int array;
+  hi_max : int array;  (* hi_max.(j) = max hi.(0..j) *)
+}
+
+let sorted_loops ~n regions =
+  let keys =
+    Array.of_list (List.map (fun (lo, hi) -> (lo * (n + 1)) + hi) regions)
+  in
+  Array.sort Int.compare keys;
+  let lo = Array.map (fun k -> k / (n + 1)) keys in
+  let hi = Array.map (fun k -> k mod (n + 1)) keys in
+  let hi_max = Array.copy hi in
+  for j = 1 to Array.length hi - 1 do
+    if hi_max.(j - 1) > hi.(j) then hi_max.(j) <- hi_max.(j - 1)
+  done;
+  { lo; hi; hi_max }
+
+(* Extend a live range across the loops that carry it, to a fixpoint:
+   a loop [lo, hi] with [lo <= stop < hi] stretches [stop] to [hi] when
+   the value is defined before the loop ([start < lo]: the use recurs
+   every iteration) or when its first occurrence is a use
+   ([first_def > start]: loop-carried).  A value first defined at [start]
+   inside a loop is a temporary of one iteration and stays short.
+   [after] indexes the first loop starting after [start]; loops are swept
+   once from there in start order, since [stop] only grows. *)
+let extend loops ~after ~start ~first_def stop =
+  let s = ref stop in
+  if first_def > start && after > 0 && loops.hi_max.(after - 1) > !s then
+    s := loops.hi_max.(after - 1);
+  let j = ref after in
+  while !j < Array.length loops.lo && loops.lo.(!j) <= !s do
+    if loops.hi.(!j) > !s then s := loops.hi.(!j);
+    incr j
+  done;
+  !s
+
+(* The touched keys among the first [n_keys], in (start, key) order, into
+   [order]; returns their count.  A counting sort by start over [bucket]
+   ([n + 1] ints), stable in key order, so each class sees its intervals
+   in (start, vreg) order. *)
+let by_start ~n ~n_keys ~bucket ~order start =
+  Array.fill bucket 0 (n + 1) 0;
+  for rk = 0 to n_keys - 1 do
+    let s = start.(rk) in
+    if s >= 0 then bucket.(s + 1) <- bucket.(s + 1) + 1
+  done;
+  for s = 1 to n do
+    bucket.(s) <- bucket.(s) + bucket.(s - 1)
+  done;
+  for rk = 0 to n_keys - 1 do
+    let s = start.(rk) in
+    if s >= 0 then begin
+      order.(bucket.(s)) <- rk;
+      bucket.(s) <- bucket.(s) + 1
+    end
+  done;
+  bucket.(n)
+
+(* Assign class [cls]'s intervals (keys [base.(cls)] up to
+   [base.(cls + 1)]) to [k] physical registers: [where.(rk)]
+   becomes a register (>= 0) or a stack slot [-1 - where.(rk)].  Expired
+   intervals return their registers to a LIFO free stack in active-list
+   order (most recently activated first); with none free, the first
+   interval with a strictly greater [stop] — the current one, then the
+   active ones from the most recently activated — is spilled.  Returns
+   the slot count. *)
+let linear_scan ~base ~cls ~k ~order ~n_order ~(start : int array)
+    ~(stop : int array) (where : int array) =
+  let free = Array.make k 0 and n_free = ref k in
+  for i = 0 to k - 1 do
+    free.(i) <- k - 1 - i
+  done;
+  (* active intervals, oldest first *)
+  let active = Array.make k 0 and n_active = ref 0 in
+  let slots = ref 0 in
+  for i = 0 to n_order - 1 do
+    let rk = order.(i) in
+    if rk >= base.(cls) && rk < base.(cls + 1) then begin
+      let pos = start.(rk) in
+      for a = !n_active - 1 downto 0 do
+        let u = active.(a) in
+        if stop.(u) < pos then begin
+          free.(!n_free) <- where.(u);
+          incr n_free
+        end
+      done;
+      let kept = ref 0 in
+      for a = 0 to !n_active - 1 do
+        let u = active.(a) in
+        if stop.(u) >= pos then begin
+          active.(!kept) <- u;
+          incr kept
+        end
+      done;
+      n_active := !kept;
+      if !n_free > 0 then begin
+        decr n_free;
+        where.(rk) <- free.(!n_free);
+        active.(!n_active) <- rk;
+        incr n_active
+      end
+      else begin
+        let victim = ref (-1) and furthest = ref stop.(rk) in
+        for a = !n_active - 1 downto 0 do
+          let u = active.(a) in
+          if stop.(u) > !furthest then begin
+            victim := a;
+            furthest := stop.(u)
+          end
+        done;
+        if !victim < 0 then where.(rk) <- -1 - !slots
+        else begin
+          let u = active.(!victim) in
+          where.(rk) <- where.(u);
+          where.(u) <- -1 - !slots;
+          Array.blit active (!victim + 1) active !victim
+            (!n_active - !victim - 1);
+          active.(!n_active - 1) <- rk
+        end;
+        incr slots
+      end
+    end
+  done;
+  !slots
+
+(* The first operand from [first] on naming register [rk]; there must be
+   one. *)
+let first_with ops ~first rk =
+  let j = ref first in
+  while ops.(!j) lsr 1 <> rk do
+    incr j
+  done;
+  !j
+
+(* Scratch arrays reused from call to call, one set per domain: compiles
+   run on several domains at once, and a call never yields to another on
+   its own domain.  An array past the minor heap's block limit would
+   otherwise be fresh, cold major-heap memory on every call, which costs
+   more to touch than everything the allocator then does with it.  Arrays
+   only grow; each call initializes what it reads. *)
+type workspace = {
+  mutable ops : int array;
+  mutable off : int array;
+  mutable start : int array;
+  mutable stop : int array;
+  mutable first_def : int array;
+  mutable where : int array;
+  mutable bucket : int array;
+  mutable order : int array;
+}
+
+let workspace =
+  Domain.DLS.new_key (fun () ->
+      {
+        ops = [||];
+        off = [||];
+        start = [||];
+        stop = [||];
+        first_def = [||];
+        where = [||];
+        bucket = [||];
+        order = [||];
+      })
+
+(* [a] if it holds [n] ints, else a larger array (contents unspecified). *)
+let at_least a n =
+  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
 
 (* Rewrite a function to physical registers, inserting spill code.
    Returns the rewritten function. *)
 let run (target : Target.t) (budget : budget) (f : Mfun.t) : Mfun.t =
   ignore target;
   let instrs = f.Mfun.instrs in
-  let regions = loop_regions instrs in
-  (* Reserve scratch registers per class for spill rewriting (Vdot can
-     need four distinct vector operands). *)
-  let scratch_of (cls : Minstr.cls) =
-    match cls with
-    | Minstr.GPR | Minstr.FPR -> 3
-    | Minstr.VR -> 4
+  let n = Array.length instrs in
+  let ws = Domain.DLS.get workspace in
+  (* Operands of instruction [pc]: ops.(off.(pc)) .. ops.(off.(pc+1)-1),
+     uses before defs, first as [id * 8 + class * 2 + def]. *)
+  ws.ops <- at_least ws.ops ((3 * n) + 4);
+  ws.off <- at_least ws.off (n + 1);
+  let n_ops = ref 0 and n_ids = Array.make 3 0 in
+  let push ~def (r : Minstr.reg) =
+    let id = r.Minstr.id and c = cls_index r.Minstr.cls in
+    if id < 0 then invalid_arg "regalloc: negative register id";
+    if id >= n_ids.(c) then n_ids.(c) <- id + 1;
+    if !n_ops = Array.length ws.ops then begin
+      let grown = Array.make (2 * !n_ops) 0 in
+      Array.blit ws.ops 0 grown 0 !n_ops;
+      ws.ops <- grown
+    end;
+    ws.ops.(!n_ops) <- (id lsl 3) lor (c lsl 1) lor def;
+    incr n_ops
   in
-  let pinned_of cls =
-    List.filter_map
-      (fun (_, _, loc) ->
-        match loc with
-        | Mfun.In_reg (r : Minstr.reg) when r.Minstr.cls = cls ->
-          Some r.Minstr.id
-        | Mfun.In_reg _ | Mfun.In_stack _ -> None)
-      f.Mfun.param_regs
+  let use r = push ~def:0 r and def r = push ~def:1 r in
+  let off = ws.off in
+  for pc = 0 to n - 1 do
+    off.(pc) <- !n_ops;
+    Minstr.iter_regs ~use ~def instrs.(pc)
+  done;
+  off.(n) <- !n_ops;
+  let ops = ws.ops in
+  let base = [| 0; n_ids.(0); n_ids.(0) + n_ids.(1); 0 |] in
+  base.(3) <- base.(2) + n_ids.(2);
+  let n_keys = base.(3) in
+  (* Dense keys, and live ranges by key; untouched keys keep
+     [start = -1]. *)
+  ws.start <- at_least ws.start n_keys;
+  ws.stop <- at_least ws.stop n_keys;
+  ws.first_def <- at_least ws.first_def n_keys;
+  ws.where <- at_least ws.where n_keys;
+  let start = ws.start and stop = ws.stop and first_def = ws.first_def in
+  let where = ws.where in
+  Array.fill start 0 n_keys (-1);
+  Array.fill first_def 0 n_keys max_int;
+  Array.fill where 0 n_keys 0;
+  for pc = 0 to n - 1 do
+    for i = off.(pc) to off.(pc + 1) - 1 do
+      let k = ops.(i) in
+      let rk = base.((k lsr 1) land 3) + (k lsr 3) in
+      ops.(i) <- (rk lsl 1) lor (k land 1);
+      if start.(rk) < 0 then start.(rk) <- pc;
+      stop.(rk) <- pc;
+      if k land 1 = 1 && first_def.(rk) = max_int then first_def.(rk) <- pc
+    done
+  done;
+  let key (r : Minstr.reg) = base.(cls_index r.Minstr.cls) + r.Minstr.id in
+  (* A parameter's key, or -1 when the function never touches it. *)
+  let param_key (r : Minstr.reg) =
+    let id = r.Minstr.id in
+    if id < 0 || id >= n_ids.(cls_index r.Minstr.cls) || start.(key r) < 0
+    then -1
+    else key r
   in
-  let alloc_for cls nphys =
-    let usable = max 1 (nphys - scratch_of cls) in
-    allocate_class ~pinned:(pinned_of cls) cls instrs regions usable
+  (* Parameters are seeded before execution: live from entry. *)
+  List.iter
+    (fun (_, _, loc) ->
+      match loc with
+      | Mfun.In_reg r ->
+        let rk = param_key r in
+        if rk >= 0 then start.(rk) <- 0
+      | Mfun.In_stack _ -> ())
+    f.Mfun.param_regs;
+  ws.bucket <- at_least ws.bucket (n + 1);
+  ws.order <- at_least ws.order n_keys;
+  let order = ws.order in
+  let n_order = by_start ~n ~n_keys ~bucket:ws.bucket ~order start in
+  (match loop_regions instrs with
+  | [] -> ()
+  | regions ->
+    let loops = sorted_loops ~n regions in
+    let n_loops = Array.length loops.lo and after = ref 0 in
+    for i = 0 to n_order - 1 do
+      let rk = order.(i) in
+      while !after < n_loops && loops.lo.(!after) <= start.(rk) do
+        incr after
+      done;
+      stop.(rk) <-
+        extend loops ~after:!after ~start:start.(rk)
+          ~first_def:first_def.(rk) stop.(rk)
+    done);
+  let budget_of c =
+    match c with 0 -> budget.b_gpr | 1 -> budget.b_fpr | _ -> budget.b_vr
   in
-  let g_assign, g_slots = alloc_for Minstr.GPR (budget_of_cls budget Minstr.GPR) in
-  let f_assign, f_slots = alloc_for Minstr.FPR (budget_of_cls budget Minstr.FPR) in
-  let v_assign, v_slots = alloc_for Minstr.VR (budget_of_cls budget Minstr.VR) in
-  let assign_of (r : Minstr.reg) =
-    let tbl =
-      match r.Minstr.cls with
-      | Minstr.GPR -> g_assign
-      | Minstr.FPR -> f_assign
-      | Minstr.VR -> v_assign
-    in
-    match Hashtbl.find_opt tbl r.Minstr.id with
-    | Some a -> a
-    | None -> Phys 0 (* register never touched *)
+  let usable = Array.init 3 (fun c -> max 1 (budget_of c - scratch_of c)) in
+  let slots =
+    Array.init 3 (fun cls ->
+        linear_scan ~base ~cls ~k:usable.(cls) ~order ~n_order ~start ~stop
+          where)
   in
   (* Stack frame layout for scalar spills: [gpr slots][fpr slots].
      Vector spills use the simulator's dedicated slot file (VSpill). *)
-  let gpr_off = 0 in
-  let fpr_off = gpr_off + (g_slots * slot_bytes Minstr.GPR) in
-  let stack_bytes = fpr_off + (f_slots * slot_bytes Minstr.FPR) in
-  let slot_addr (cls : Minstr.cls) slot =
-    let off =
-      match cls with
-      | Minstr.GPR -> gpr_off + (slot * slot_bytes cls)
-      | Minstr.FPR -> fpr_off + (slot * slot_bytes cls)
-      | Minstr.VR -> invalid_arg "slot_addr: vector"
-    in
-    { (Minstr.plain_addr "$stack") with Minstr.disp = off }
-  in
-  let slot_of r =
-    match assign_of r with
-    | Slot s -> s
-    | Phys _ -> assert false
+  let fpr_off = slots.(0) * slot_bytes in
+  let stack_bytes = fpr_off + (slots.(1) * slot_bytes) in
+  let slot_addr c slot =
+    {
+      Minstr.sym = "$stack";
+      base = None;
+      index = None;
+      scale = 1;
+      disp = (if c = 0 then 0 else fpr_off) + (slot * slot_bytes);
+    }
   in
   (* Vector spill slots start above any demotion slots already present. *)
   let vspill_base = f.Mfun.n_vspill in
-  let spill_load (r : Minstr.reg) scratch_reg =
-    match r.Minstr.cls with
-    | Minstr.VR -> Minstr.VReload (scratch_reg, vspill_base + slot_of r)
-    | cls -> Minstr.Load (spill_ty cls, scratch_reg, slot_addr cls (slot_of r))
+  let spilled k = where.(k lsr 1) < 0 in
+  let spill_load k scratch =
+    let c = key_cls base (k lsr 1) and slot = -1 - where.(k lsr 1) in
+    if c = 2 then Minstr.VReload (scratch, vspill_base + slot)
+    else Minstr.Load (spill_ty c, scratch, slot_addr c slot)
   in
-  let spill_store (r : Minstr.reg) scratch_reg =
-    match r.Minstr.cls with
-    | Minstr.VR -> Minstr.VSpill (vspill_base + slot_of r, scratch_reg)
-    | cls -> Minstr.Store (spill_ty cls, slot_addr cls (slot_of r), scratch_reg)
+  let spill_store k scratch =
+    let c = key_cls base (k lsr 1) and slot = -1 - where.(k lsr 1) in
+    if c = 2 then Minstr.VSpill (vspill_base + slot, scratch)
+    else Minstr.Store (spill_ty c, slot_addr c slot, scratch)
   in
-  let usable cls = max 1 (budget_of_cls budget cls - scratch_of cls) in
-  let out = ref [] in
-  let emit i = out := i :: !out in
-  Array.iter
-    (fun ins ->
-      let defs, uses = Minstr.defs_uses ins in
-      (* Map spilled uses to scratch registers (assigned in order). *)
-      let next_scratch = Hashtbl.create 4 in
-      let scratch_for (r : Minstr.reg) =
-        let n =
-          Option.value ~default:0 (Hashtbl.find_opt next_scratch r.Minstr.cls)
-        in
-        Hashtbl.replace next_scratch r.Minstr.cls (n + 1);
-        if n >= scratch_of r.Minstr.cls then
-          invalid_arg "regalloc: out of scratch registers";
-        { r with Minstr.id = usable r.Minstr.cls + n }
-      in
-      let mapping : (Minstr.cls * int, Minstr.reg) Hashtbl.t = Hashtbl.create 4 in
-      (* Reloads for spilled uses. *)
-      List.iter
-        (fun (r : Minstr.reg) ->
-          match assign_of r with
-          | Phys _ -> ()
-          | Slot _ ->
-            if not (Hashtbl.mem mapping (r.Minstr.cls, r.Minstr.id)) then begin
-              let s = scratch_for r in
-              Hashtbl.replace mapping (r.Minstr.cls, r.Minstr.id) s;
-              emit (spill_load r s)
-            end)
-        uses;
-      (* Defs that are spilled also go through a scratch register. *)
-      let def_stores = ref [] in
-      List.iter
-        (fun (r : Minstr.reg) ->
-          match assign_of r with
-          | Phys _ -> ()
-          | Slot _ ->
-            let s =
-              match Hashtbl.find_opt mapping (r.Minstr.cls, r.Minstr.id) with
-              | Some s -> s
-              | None ->
-                let s = scratch_for r in
-                Hashtbl.replace mapping (r.Minstr.cls, r.Minstr.id) s;
-                s
-            in
-            def_stores := spill_store r s :: !def_stores)
-        defs;
-      let rewrite (r : Minstr.reg) =
-        match Hashtbl.find_opt mapping (r.Minstr.cls, r.Minstr.id) with
-        | Some s -> s
-        | None -> (
-          match assign_of r with
-          | Phys p -> { r with Minstr.id = p }
-          | Slot _ -> assert false)
-      in
-      emit (Minstr.map_regs rewrite ins);
-      List.iter emit !def_stores)
-    instrs;
+  (* Spill code: one reload per distinct spilled use, one store per
+     spilled def. *)
+  let has_spill = Bytes.make n '\000' in
+  let n_out = ref n and max_ops = ref 0 in
+  for pc = 0 to n - 1 do
+    let first = off.(pc) in
+    if off.(pc + 1) - first > !max_ops then max_ops := off.(pc + 1) - first;
+    for i = first to off.(pc + 1) - 1 do
+      let k = ops.(i) in
+      if spilled k then begin
+        Bytes.set has_spill pc '\001';
+        if k land 1 = 1 || first_with ops ~first (k lsr 1) = i then
+          incr n_out
+      end
+    done
+  done;
+  let out = Array.make !n_out (Minstr.Label 0) and o = ref 0 in
+  let emit ins =
+    out.(!o) <- ins;
+    incr o
+  in
+  (* The spilled operands of the current instruction go through scratch
+     registers, numbered per class in operand order; operand [i]'s is
+     [scratch.(i - !cur)], [!cur] being the instruction's first operand. *)
+  let scratch = Array.make !max_ops (Minstr.gpr 0) in
+  let next_scratch = Array.make 3 0 in
+  let cur = ref 0 in
+  let rewrite (reg : Minstr.reg) =
+    let rk = key reg in
+    let w = where.(rk) in
+    if w >= 0 then { reg with Minstr.id = w }
+    else scratch.(first_with ops ~first:!cur rk - !cur)
+  in
+  for pc = 0 to n - 1 do
+    cur := off.(pc);
+    let spills = Bytes.get has_spill pc = '\001' in
+    if spills then begin
+      Array.fill next_scratch 0 3 0;
+      for i = !cur to off.(pc + 1) - 1 do
+        let k = ops.(i) in
+        if spilled k then begin
+          let j = first_with ops ~first:!cur (k lsr 1) in
+          if j < i then scratch.(i - !cur) <- scratch.(j - !cur)
+          else begin
+            let c = key_cls base (k lsr 1) in
+            let s = next_scratch.(c) in
+            next_scratch.(c) <- s + 1;
+            if s >= scratch_of c then
+              invalid_arg "regalloc: out of scratch registers";
+            let reg = { Minstr.cls = classes.(c); id = usable.(c) + s } in
+            scratch.(i - !cur) <- reg;
+            if k land 1 = 0 then emit (spill_load k reg)
+          end
+        end
+      done
+    end;
+    emit (Minstr.map_regs rewrite instrs.(pc));
+    if spills then
+      for i = off.(pc + 1) - 1 downto !cur do
+        let k = ops.(i) in
+        if k land 1 = 1 && spilled k then
+          emit (spill_store k scratch.(i - !cur))
+      done
+  done;
   let param_regs =
     List.map
       (fun (name, sty, loc) ->
         match loc with
         | Mfun.In_stack _ -> name, sty, loc
-        | Mfun.In_reg r -> (
-          match assign_of r with
-          | Phys p -> name, sty, Mfun.In_reg { r with Minstr.id = p }
-          | Slot s ->
-            let ty = spill_ty r.Minstr.cls in
-            name, sty, Mfun.In_stack (ty, (slot_addr r.Minstr.cls s).Minstr.disp)))
+        | Mfun.In_reg reg ->
+          let rk = param_key reg in
+          let w = if rk < 0 then 0 (* never touched *) else where.(rk) in
+          if w >= 0 then name, sty, Mfun.In_reg { reg with Minstr.id = w }
+          else
+            let c = key_cls base rk in
+            ( name,
+              sty,
+              Mfun.In_stack (spill_ty c, (slot_addr c (-1 - w)).Minstr.disp) ))
       f.Mfun.param_regs
   in
   {
     f with
-    Mfun.instrs = Array.of_list (List.rev !out);
+    Mfun.instrs = out;
     n_gpr = budget.b_gpr;
     n_fpr = budget.b_fpr;
     n_vr = max 1 budget.b_vr;
     param_regs;
     stack_bytes;
-    n_vspill = f.Mfun.n_vspill + v_slots;
+    n_vspill = f.Mfun.n_vspill + slots.(2);
   }

@@ -528,8 +528,8 @@ let run ?stats ?tracer (cfg : cfg) (wl : Workload.t) : report =
   in
   (* Lane dispatch takes whole closed batches.  Member timeouts are
      checked first (buffers untouched, slot returned, breaker fed); the
-     survivors then execute as one unit on the lane — one
-     [Tiered.batch_create] (one elision memo: each distinct operand
+     survivors then execute as one unit on the lane — two or more share
+     one [Tiered.batch_create] (one elision memo: each distinct operand
      signature executes once, its duplicates replay the charge) with
      per-element results, breaker verdicts and stall draws preserved.
      The lane stays busy for the sum of the members' service times, and
@@ -628,7 +628,10 @@ let run ?stats ?tracer (cfg : cfg) (wl : Workload.t) : report =
                     ];
                   Tracer.root_end tr ~name:"batch_dispatch" ()
                 end;
-                let bt = Tiered.batch_create () in
+                (* a lone survivor has nothing to elide against *)
+                let batch =
+                  if size >= 2 then Some (Tiered.batch_create ()) else None
+                in
                 let busy = ref 0 in
                 let executed = ref 0 in
                 List.iter
@@ -642,7 +645,7 @@ let run ?stats ?tracer (cfg : cfg) (wl : Workload.t) : report =
                     if interp_only then incr interp_only_served;
                     if force_oracle then incr probes;
                     let step () =
-                      Service.shard_step ~interp_only ~force_oracle ~batch:bt
+                      Service.shard_step ~interp_only ~force_oracle ?batch
                         pool ~shard ev
                     in
                     let r =

@@ -491,39 +491,47 @@ let open_store ?(create = false) ?(max_entries = max_int)
     flush t;
     Ok t
   in
-  if not (Sys.file_exists dir) then
-    if create then begin
-      mkdir_p dir;
-      init (fresh ())
+  (* a path the filesystem refuses (a parent that is a regular file, no
+     permission) is a user error like any other *)
+  try
+    if not (Sys.file_exists dir) then
+      if create then begin
+        mkdir_p dir;
+        init (fresh ())
+      end
+      else Error (Printf.sprintf "store directory '%s' does not exist" dir)
+    else if not (Sys.is_directory dir) then
+      Error (Printf.sprintf "'%s' is not a directory" dir)
+    else begin
+      let t = fresh () in
+      if Sys.file_exists (index_path t) then
+        match decode_index (read_file (index_path t)) with
+        | Error m ->
+          Error (Printf.sprintf "'%s' is not a usable code store: %s" dir m)
+        | Ok ix ->
+          t.t_next_tick <- ix.ix_next_tick;
+          List.iter
+            (fun r ->
+              Hashtbl.replace t.t_tbl r.ix_key r;
+              if r.ix_status = Valid then
+                t.t_bytes <- t.t_bytes + r.ix_bytes)
+            ix.ix_rows;
+          mkdir_p (objects_dir t);
+          mkdir_p (quarantine_dir t);
+          mkdir_p (staging_root t);
+          if heal t > 0 then flush t;
+          Ok t
+      else if Array.length (Sys.readdir dir) = 0 then
+        if create then init t
+        else
+          Error
+            (Printf.sprintf "'%s' is empty (no index); not a code store" dir)
+      else
+        Error
+          (Printf.sprintf "'%s' exists but holds no %s; not a code store" dir
+             index_file)
     end
-    else Error (Printf.sprintf "store directory '%s' does not exist" dir)
-  else if not (Sys.is_directory dir) then
-    Error (Printf.sprintf "'%s' is not a directory" dir)
-  else begin
-    let t = fresh () in
-    if Sys.file_exists (index_path t) then
-      match decode_index (read_file (index_path t)) with
-      | Error m -> Error (Printf.sprintf "'%s' is not a usable code store: %s" dir m)
-      | Ok ix ->
-        t.t_next_tick <- ix.ix_next_tick;
-        List.iter
-          (fun r ->
-            Hashtbl.replace t.t_tbl r.ix_key r;
-            if r.ix_status = Valid then t.t_bytes <- t.t_bytes + r.ix_bytes)
-          ix.ix_rows;
-        mkdir_p (objects_dir t);
-        mkdir_p (quarantine_dir t);
-        mkdir_p (staging_root t);
-        if heal t > 0 then flush t;
-        Ok t
-    else if Array.length (Sys.readdir dir) = 0 then
-      if create then init t
-      else Error (Printf.sprintf "'%s' is empty (no index); not a code store" dir)
-    else
-      Error
-        (Printf.sprintf "'%s' exists but holds no %s; not a code store" dir
-           index_file)
-  end
+  with Sys_error msg -> Error msg
 
 let drop_row t (r : index_row) =
   (match r.ix_status with

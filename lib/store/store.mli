@@ -133,8 +133,9 @@ type counters = {
 (** Open (or, with [create], initialize) the store at [dir].  Budgets
     are enforced at {!merge} and {!gc} time, LRU-first.  Errors — a
     missing directory without [create], a directory that is not a
-    store, a corrupt or version-mismatched index — come back as
-    [Error]; they are user errors, not exceptions.
+    store, a corrupt or version-mismatched index, a path the filesystem
+    refuses (say, below a regular file) — come back as [Error]; they are
+    user errors, not exceptions.
 
     Opening an existing store runs crash recovery first: a process
     killed mid-publish or mid-merge leaves a stale [index.vci.tmp]

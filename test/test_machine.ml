@@ -366,18 +366,21 @@ let test_x87_penalty () =
 
 (* --- register allocation under pressure --------------------------------- *)
 
+(* reg_fraction 0.01: the five-register floor in every class, which leaves
+   two allocatable GPRs and FPRs and one vector register beside the
+   scratch registers. *)
+let starved =
+  { Vapor_jit.Profile.gcc4cli with
+    Vapor_jit.Profile.name = "starved"; reg_fraction = 0.01 }
+
 (* Differential: a suite kernel compiled with a starving register budget
    must compute the same results as with a generous one. *)
 let test_regalloc_pressure () =
   let module Suite = Vapor_kernels.Suite in
   let module Flows = Vapor_harness.Flows in
-  let module Profile = Vapor_jit.Profile in
   List.iter
     (fun name ->
       let entry = Suite.find name in
-      let starved =
-        { Profile.gcc4cli with Profile.name = "starved"; reg_fraction = 0.01 }
-      in
       let copy args =
         List.map
           (fun (n, a) ->
@@ -406,17 +409,233 @@ let test_regalloc_spill_cost () =
   (* Starving the allocator must produce spill traffic: more cycles. *)
   let module Suite = Vapor_kernels.Suite in
   let module Flows = Vapor_harness.Flows in
-  let module Profile = Vapor_jit.Profile in
   let entry = Suite.find "convolve_s32" in
-  let starved =
-    { Profile.gcc4cli with Profile.name = "starved"; reg_fraction = 0.01 }
-  in
   let a = Flows.split_vector ~target:sse ~profile:starved entry ~scale:1 in
   let b =
     Flows.split_vector ~target:sse ~profile:Vapor_jit.Profile.gcc4cli entry
       ~scale:1
   in
   check Alcotest.bool "spills cost cycles" true (a.Flows.cycles > b.Flows.cycles)
+
+(* --- register allocation: decisions pinned --------------------------------
+
+   Every field [Regalloc.run] sets (instructions, register counts,
+   parameter locations, stack bytes, vector spill slots) or the text of
+   the exception it raises, digested per (profile, target) over the
+   whole suite after lower -> emit.  The goldens were computed with the
+   hash-table allocator this one replaced; a digest that moves means the
+   allocator made a different decision somewhere, which a change must
+   own and explain.  The fleet's sve resolves to 256 bits, so SVE is
+   also pinned at 128 and 512. *)
+
+let golden_profiles =
+  let module Profile = Vapor_jit.Profile in
+  [ Profile.mono; Profile.gcc4cli; Profile.native; Profile.avx_split; starved ]
+
+let golden_targets =
+  let sve = Vapor_targets.Sve.target in
+  List.map (fun t -> Target.resolve t) Vapor_targets.Scalar_target.all
+  @ [ Target.resolve ~vl:16 sve; Target.resolve ~vl:64 sve ]
+
+(* The budget [Compile.compile] hands the allocator. *)
+let budget_for ~(target : Target.t) ~(profile : Vapor_jit.Profile.t) =
+  let cap n =
+    let fraction = profile.Vapor_jit.Profile.reg_fraction in
+    max 5 (int_of_float (float_of_int n *. fraction))
+  in
+  {
+    Regalloc.b_gpr = cap target.Target.gprs;
+    b_fpr = cap target.Target.fprs;
+    b_vr = cap target.Target.vrs;
+  }
+
+(* The function [Compile.compile] hands the allocator: lower, then emit. *)
+let emitted ~target ~profile vk =
+  let an =
+    Vapor_jit.Lower.analyze ~target ~profile
+      ~known_aligned:(fun _ -> true)
+      ~known_disjoint:(fun _ _ -> true)
+      vk
+  in
+  fst (Vapor_jit.Emit.run ~target ~profile ~an vk)
+
+let allocation_text (f : Mfun.t) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Mfun.to_string f);
+  List.iter
+    (fun (name, sty, loc) ->
+      Printf.bprintf b "param %s %s %s\n" name (Src_type.to_string sty)
+        (match loc with
+        | Mfun.In_reg r -> M.reg_to_string r
+        | Mfun.In_stack (ty, off) ->
+          Printf.sprintf "stack %s %d" (Src_type.to_string ty) off))
+    f.Mfun.param_regs;
+  Printf.bprintf b "vspill %d\n" f.Mfun.n_vspill;
+  Buffer.contents b
+
+let allocation_digest ~target ~profile =
+  let module Suite = Vapor_kernels.Suite in
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (entry : Suite.entry) ->
+      let vk =
+        (Vapor_harness.Flows.vectorized_bytecode entry)
+          .Vapor_vectorizer.Driver.vkernel
+      in
+      Printf.bprintf b "kernel %s\n" entry.Suite.name;
+      Buffer.add_string b
+        (match
+           Regalloc.run target
+             (budget_for ~target ~profile)
+             (emitted ~target ~profile vk)
+         with
+        | f -> allocation_text f
+        | exception e -> "raised " ^ Printexc.to_string e ^ "\n"))
+    Suite.all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (profile, target, digest) *)
+let golden_allocations =
+  [
+    "mono", "sse", "21db87d72505459d9ce444677953a8a9";
+    "mono", "altivec", "d0226389355068cfd46848cb35d8b8b7";
+    "mono", "neon", "0d16e356ddabf88ee997014a0952adaa";
+    "mono", "avx", "2d1e732bed0a501af3b4e6e97098d57f";
+    "mono", "sve256", "8c6ac13c7e0a469d59e6d702ccc1c1da";
+    "mono", "avx512", "386d0cbd3cf205c646cf86c19cd7dd43";
+    "mono", "scalar", "b0ea14682583124b016e76fe32a93422";
+    "mono", "sve128", "702df7587a6843863fa5840075aa7377";
+    "mono", "sve512", "93f08b89c909a21a0de4a9490609fa23";
+    "gcc4cli", "sse", "37c7210df13c5b6a31f1c98dedc1b7f5";
+    "gcc4cli", "altivec", "dfbda6f6640d4393ba0dd44725d7b332";
+    "gcc4cli", "neon", "ae8e0e5354541da48caeae528f4a1664";
+    "gcc4cli", "avx", "501bc5e0a7a947ec2cbd83efbf444a4f";
+    "gcc4cli", "sve256", "5e998f38e3f15c587f770313fbf7c33b";
+    "gcc4cli", "avx512", "dbbd62557a7ef6a21f2dde5ae11d3afb";
+    "gcc4cli", "scalar", "5a1560b7c3706468b2fa456fe88ffc80";
+    "gcc4cli", "sve128", "149fd711e6cd2512a12cd4603cd50d3c";
+    "gcc4cli", "sve512", "b58ca8ed207e99eaf079d5b92aed14d4";
+    "native", "sse", "218e06a5fa0e5f945c9165ceaa93e6ae";
+    "native", "altivec", "17253028d6ad6346cce2905f76834d80";
+    "native", "neon", "2988ce53c2ea929f219f775400ed8739";
+    "native", "avx", "501bc5e0a7a947ec2cbd83efbf444a4f";
+    "native", "sve256", "8ab1dd4f913b75b37effccb50131e353";
+    "native", "avx512", "8fd333cbac557ddc903d68a6ba658eb6";
+    "native", "scalar", "5a1560b7c3706468b2fa456fe88ffc80";
+    "native", "sve128", "c6601dab8039a8da87bab5d55a7d6b85";
+    "native", "sve512", "07b5bcfd6aa6251fe7d59566563071ed";
+    "avx-split", "sse", "e3e811d7c457cfdf4b821a0d8ea064b3";
+    "avx-split", "altivec", "ab79d4325441027b8241a798094ad92a";
+    "avx-split", "neon", "898b5c17b9df74c45219a5a58aa57c01";
+    "avx-split", "avx", "8cfa0cca5a5df988bbcd7288f39c53fe";
+    "avx-split", "sve256", "637ae386e774c627b711ba6a4521a2a6";
+    "avx-split", "avx512", "f07a9166a101b058813c8644b49ec45c";
+    "avx-split", "scalar", "5a1560b7c3706468b2fa456fe88ffc80";
+    "avx-split", "sve128", "bf50973b1c4f2254894636bbeec684f0";
+    "avx-split", "sve512", "7318543cbbafede9db196ea30a93bb52";
+    "starved", "sse", "a41f71cdf5030a223d6837b524e9cc38";
+    "starved", "altivec", "a7d2ff35c3a32f15a8ab77abe3fdccda";
+    "starved", "neon", "6acad62c12d5fe5f68974233222cd975";
+    "starved", "avx", "41504305af41a4c29fd314317c04779a";
+    "starved", "sve256", "e85c88e7152d1e4a01afb63965fa4c8e";
+    "starved", "avx512", "f64c6d95bd95f2791900c3e7e43640b1";
+    "starved", "scalar", "577895b17169d1e3f61eb6bb391a3482";
+    "starved", "sve128", "acf61e6d7bf42938a506b36bc20e279f";
+    "starved", "sve512", "f64c6d95bd95f2791900c3e7e43640b1";
+  ]
+
+let test_regalloc_golden () =
+  let moved =
+    List.concat_map
+      (fun (profile : Vapor_jit.Profile.t) ->
+        List.filter_map
+          (fun (target : Target.t) ->
+            let p = profile.Vapor_jit.Profile.name
+            and t = target.Target.name in
+            let got = allocation_digest ~target ~profile in
+            match
+              List.find_opt
+                (fun (p', t', _) -> p = p' && t = t')
+                golden_allocations
+            with
+            | Some (_, _, want) when String.equal want got -> None
+            | Some _ | None -> Some (Printf.sprintf "    %S, %S, %S;" p t got))
+          golden_targets)
+      golden_profiles
+  in
+  if moved <> [] then
+    fail
+      ("allocator decisions moved; digests now read:\n"
+      ^ String.concat "\n" moved)
+
+(* With registers to spare, a function already numbered densely in first
+   occurrence order comes back unchanged.  Forty four-operand [Cmov]s hold
+   more operands than the allocator first reserves room for, so its
+   operand buffer grows mid-function. *)
+let test_regalloc_identity () =
+  let r = M.gpr in
+  let instrs =
+    [ M.Li (r 0, 1); M.Li (r 1, 2); M.Li (r 2, 3); M.Li (r 3, 4) ]
+    @ List.init 40 (fun _ -> M.Cmov (r 0, r 1, r 2, r 3))
+  in
+  let f = mfun instrs in
+  let out =
+    Regalloc.run sse { Regalloc.b_gpr = 64; b_fpr = 8; b_vr = 8 } f
+  in
+  check Alcotest.bool "instructions unchanged" true
+    (out.Mfun.instrs = f.Mfun.instrs);
+  check Alcotest.int "no spill area" 0 out.Mfun.stack_bytes
+
+(* Four spilled registers in one instruction exceed the three GPR scratch
+   registers: the allocator raises, and [Compile.classify] turns that into
+   scalarize-on-failure.  With one allocatable GPR, r9 (ending soonest)
+   evicts r0 and r1..r3 spill on arrival. *)
+let test_regalloc_out_of_scratch () =
+  let r = M.gpr in
+  let out = M.plain_addr "out" in
+  let f =
+    mfun
+      [
+        M.Li (r 0, 1);
+        M.Li (r 1, 2);
+        M.Li (r 2, 3);
+        M.Li (r 9, 4);
+        M.Cmov (r 3, r 0, r 1, r 2);
+        M.Store (Src_type.I32, out, r 9);
+        M.Store (Src_type.I32, out, r 0);
+        M.Store (Src_type.I32, out, r 1);
+        M.Store (Src_type.I32, out, r 2);
+        M.Store (Src_type.I32, out, r 3);
+      ]
+  in
+  match Regalloc.run sse { Regalloc.b_gpr = 4; b_fpr = 8; b_vr = 8 } f with
+  | _ -> fail "expected scratch exhaustion"
+  | exception Invalid_argument msg ->
+    check Alcotest.string "message" "regalloc: out of scratch registers" msg
+
+(* Allocation per input instruction does not grow with the function: the
+   N-copies shape at N = 128 allocates within 10% of N = 8, per
+   instruction, in the minor heap (the allocator's own arrays are reused,
+   so what it allocates is its output). *)
+let test_regalloc_growth () =
+  let module Profile = Vapor_jit.Profile in
+  let module Jit_report = Vapor_harness.Jit_report in
+  let words_per_instr n =
+    let vk = Jit_report.shape_bytecode Jit_report.Copies n in
+    let target = sse and profile = Profile.mono in
+    let f = emitted ~target ~profile vk in
+    let budget = budget_for ~target ~profile in
+    ignore (Regalloc.run target budget f);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Regalloc.run target budget f));
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length f.Mfun.instrs)
+  in
+  let small = words_per_instr 8 and large = words_per_instr 128 in
+  if Float.abs ((large /. small) -. 1.0) > 0.10 then
+    fail
+      (Printf.sprintf
+         "minor words per instruction: %.1f at N=8, %.1f at N=128" small
+         large)
 
 (* --- layout ------------------------------------------------------------- *)
 
@@ -519,6 +738,14 @@ let () =
           Alcotest.test_case "pressure differential" `Quick
             test_regalloc_pressure;
           Alcotest.test_case "spill cost" `Quick test_regalloc_spill_cost;
+          Alcotest.test_case "decisions match the goldens" `Quick
+            test_regalloc_golden;
+          Alcotest.test_case "identity with registers to spare" `Quick
+            test_regalloc_identity;
+          Alcotest.test_case "out of scratch registers" `Quick
+            test_regalloc_out_of_scratch;
+          Alcotest.test_case "allocation per instruction is flat" `Quick
+            test_regalloc_growth;
         ] );
       ( "layout",
         [

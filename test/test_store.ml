@@ -167,6 +167,17 @@ let open_errors_case () =
   | Error _ -> ()
   | Ok _ -> fail "non-store dir must error"
 
+(* A path below a regular file cannot be created: an [Error], not an
+   escaped [Sys_error]. *)
+let open_below_file_case () =
+  let dir = temp_store_dir () in
+  let file = Filename.concat dir "f" in
+  close_out (open_out_bin file);
+  match Store.open_store ~create:true (Filename.concat file "x") with
+  | Error _ -> ()
+  | Ok _ -> fail "a store below a regular file must not open"
+  | exception e -> fail ("open_store raised " ^ Printexc.to_string e)
+
 (* --- replay fixtures ---------------------------------------------------- *)
 
 let replay_trace () = Trace.standard ~length:120 ~n_targets:1 ()
@@ -434,6 +445,8 @@ let () =
             roundtrip_case;
           Alcotest.test_case "open errors are user errors" `Quick
             open_errors_case;
+          Alcotest.test_case "a path below a regular file is an error"
+            `Quick open_below_file_case;
         ] );
       ( "warm-start",
         [

@@ -259,13 +259,11 @@ let run_benchmarks () =
 
 (* ---------------------------------------------------------------------- *)
 (* Part 4: wall-clock throughput of the fast execution engine — the
-   slot-compiled interpreter bodies and pre-resolved simulator plans —
-   against the reference engine, plus the domain-sharded replay driver.
+   pre-resolved simulator plans — against the reference engine, plus the
+   domain-sharded replay driver.
    Everything else in this harness measures *modeled* cycles; this part
    measures real elapsed time, which is what the fast path buys.          *)
 
-module Veval = Vapor_vecir.Veval
-module Vfast = Vapor_vecir.Vfast
 module Simulator = Vapor_machine.Simulator
 module Layout = Vapor_machine.Layout
 module Exec = Vapor_harness.Exec
@@ -296,32 +294,6 @@ let best_of n f =
 let best_of_3 f = best_of 3 f
 
 let micro_iters = 2_000
-
-(* Per-run ns of the bytecode interpreter: reference Veval vs the
-   slot-compiled Vfast body, same kernel, same mode, same argument
-   buffers (reused across runs for both, so setup cost cancels). *)
-let micro_interp () =
-  let entry = Suite.find "sfir_fp" in
-  let vk = (Flows.vectorized_bytecode entry).Driver.vkernel in
-  let mode = Veval.Vector 16 in
-  let args = entry.Suite.args ~scale:1 in
-  let compiled = Vfast.compile vk ~mode in
-  ignore (Veval.run vk ~mode ~args);
-  ignore (Vfast.run compiled ~args);
-  let ref_s =
-    best_of_3 (fun () ->
-        for _ = 1 to micro_iters do
-          ignore (Veval.run vk ~mode ~args)
-        done)
-  in
-  let fast_s =
-    best_of_3 (fun () ->
-        for _ = 1 to micro_iters do
-          ignore (Vfast.run compiled ~args)
-        done)
-  in
-  let per x = x *. 1e9 /. float_of_int micro_iters in
-  per ref_s, per fast_s
 
 (* Per-run ns of the machine simulator: Simulator.run (per-run label
    resolution and assoc-list binding) vs the pre-resolved plan. *)
@@ -868,12 +840,8 @@ let run_fastpath_bench ~json () =
   Printf.printf "\nFast-path engine wall-clock benchmark\n";
   Printf.printf "=====================================\n";
   Printf.printf
-    "(slot-compiled bodies + pre-resolved plans vs the reference engine;\n\
+    "(pre-resolved plans vs the reference engine;\n\
     \ real elapsed time, not modeled cycles)\n\n%!";
-  let veval_ns, vfast_ns = micro_interp () in
-  Printf.printf "  interpreter (sfir_fp, v16)  %10.0f ns/run reference  \
-                 %10.0f ns/run slots  (%.1fx)\n%!"
-    veval_ns vfast_ns (veval_ns /. vfast_ns);
   let run_ns, plan_ns = micro_simulator () in
   Printf.printf "  simulator   (sfir_fp, sse)  %10.0f ns/run reference  \
                  %10.0f ns/run plan   (%.1fx)\n\n%!"
@@ -1009,10 +977,6 @@ let run_fastpath_bench ~json () =
     let buf = Buffer.create 1024 in
     Printf.bprintf buf "{\n";
     Printf.bprintf buf "  \"micro\": {\n";
-    Printf.bprintf buf "    \"interp_reference_ns_per_run\": %.1f,\n" veval_ns;
-    Printf.bprintf buf "    \"interp_slots_ns_per_run\": %.1f,\n" vfast_ns;
-    Printf.bprintf buf "    \"interp_speedup\": %.2f,\n"
-      (veval_ns /. vfast_ns);
     Printf.bprintf buf "    \"simulator_reference_ns_per_run\": %.1f,\n" run_ns;
     Printf.bprintf buf "    \"simulator_plan_ns_per_run\": %.1f,\n" plan_ns;
     Printf.bprintf buf "    \"simulator_speedup\": %.2f\n"

@@ -519,10 +519,9 @@ let runtime_term p =
   and+ engine =
     option_flag ~for_:[ Replay ] "engine" ~docv:"ENGINE"
       ~doc:
-        "Execution engine: 'fast' (slot-compiled bodies and pre-resolved \
-         plans) or 'reference' (tree-walking interpreter and \
-         instruction-by-instruction simulator).  Reports are identical; only \
-         wall-clock differs."
+        "Simulator for JIT-tier bodies: 'fast' (pre-resolved plans) or \
+         'reference' (instruction-by-instruction simulator).  Reports are \
+         identical; only wall-clock differs."
       Arg.string "fast" p
   and+ cache_entries =
     option_flag ~for_:[ Replay ] "cache-entries" ~docv:"N"
@@ -997,18 +996,20 @@ let service_config ?(retargets = []) ?(label_targets = false) ?drop_simd_at
     | None ->
       die_unknown ~what:"engine" ~given:rt.engine ~valid:[ "fast"; "reference" ]
   in
+  (* only serve-replay rejuvenates, from its one target; at the head of
+     the retarget list it fires first among triggers due at one event *)
+  let rejuvenate =
+    Option.map
+      (fun name -> rt.rejuvenate_at, List.hd targets, resolve_target name)
+      rt.rejuvenate_to
+  in
   {
     (Service.default_config ~targets) with
     Service.cfg_profile = rt.profile;
     cfg_hotness = rt.hotness;
     cfg_max_entries = rt.cache_entries;
     cfg_max_bytes = rt.cache_bytes;
-    (* only serve-replay rejuvenates, from its one target *)
-    cfg_rejuvenate =
-      Option.map
-        (fun name -> rt.rejuvenate_at, List.hd targets, resolve_target name)
-        rt.rejuvenate_to;
-    cfg_retargets = retargets;
+    cfg_retargets = Option.to_list rejuvenate @ retargets;
     cfg_guard = guard;
     cfg_drop_simd =
       Option.map (fun at -> at, Targets.find "scalar") drop_simd_at;

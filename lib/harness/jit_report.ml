@@ -18,6 +18,7 @@ module Compile = Vapor_jit.Compile
 module Lower = Vapor_jit.Lower
 module Suite = Vapor_kernels.Suite
 module Driver = Vapor_vectorizer.Driver
+module Json = Vapor_obs.Json
 module Stage = Vapor_obs.Stage
 
 type row = {
@@ -445,20 +446,6 @@ let table_to_string ?(invocations = 1000) (rows : row list) =
     rows;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (rows : row list) =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "[\n";
@@ -470,8 +457,8 @@ let to_json (rows : row list) =
          \"lower_ns\": %.0f, \"emit_ns\": %.0f, \"regalloc_ns\": %.0f, \
          \"prepare_ns\": %.0f, \"code_bytes\": %d, \"compile_us\": %.3f, \
          \"exec_cycles\": %d, \"compile_share\": %.6f}%s\n"
-        (json_escape r.jr_kernel) (json_escape r.jr_target) r.jr_vf
-        (json_escape r.jr_align) r.jr_guards_static r.jr_guards_dynamic
+        (Json.escape r.jr_kernel) (Json.escape r.jr_target) r.jr_vf
+        (Json.escape r.jr_align) r.jr_guards_static r.jr_guards_dynamic
         r.jr_lower_ns r.jr_emit_ns r.jr_regalloc_ns r.jr_prepare_ns
         r.jr_code_bytes r.jr_compile_us r.jr_exec_cycles r.jr_compile_share
         (if i = List.length rows - 1 then "" else ","))
@@ -507,7 +494,7 @@ let scaling_to_json (rows : scaling_row list) =
       Printf.bprintf buf
         "    {\"shape\": \"%s\", \"target\": \"%s\", \"stage\": \"%s\", \
          \"exponent\": %.3f, \"r2\": %.4f, \"points\": [%s]}%s\n"
-        r.sc_shape (json_escape r.sc_target) r.sc_stage r.sc_exponent r.sc_r2
+        r.sc_shape (Json.escape r.sc_target) r.sc_stage r.sc_exponent r.sc_r2
         (String.concat ", "
            (List.map
               (fun (n, ns) -> Printf.sprintf "{\"n\": %d, \"ns\": %.0f}" n ns)

@@ -1,6 +1,7 @@
-(* Wall-clock source for the observability layer.  [gettimeofday] is the
-   portable choice in this tree (bench already links Unix); tracing treats
-   it as best-effort monotonic — deterministic trace mode drops wall
-   fields entirely, so clock quality never affects byte-identity. *)
+(* Time source for the observability layer: nanoseconds from the
+   monotonic clock (CLOCK_MONOTONIC through bechamel's non-allocating
+   stub), which never steps backwards.  Only differences are meaningful;
+   the origin is unspecified.  Deterministic trace mode drops wall
+   fields entirely, so clock readings never affect byte-identity. *)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns () = Int64.to_float (Monotonic_clock.now ())

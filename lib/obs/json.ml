@@ -1,0 +1,20 @@
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let float f =
+  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f

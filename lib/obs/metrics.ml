@@ -271,27 +271,6 @@ let to_prometheus ?(prefix = "vapor_") t =
     (histogram_names t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
 let to_json t =
   let buf = Buffer.create 1024 in
   let obj last body =
@@ -305,7 +284,7 @@ let to_json t =
     (fun i name ->
       Printf.bprintf buf "%s\n    \"%s\": %d"
         (if i = 0 then "" else ",")
-        (json_escape name) (counter t name))
+        (Json.escape name) (counter t name))
     cs;
   Buffer.add_string buf (if cs = [] then "},\n" else "\n  },\n");
   Buffer.add_string buf "  \"gauges\": {";
@@ -314,8 +293,8 @@ let to_json t =
     (fun i name ->
       Printf.bprintf buf "%s\n    \"%s\": %s"
         (if i = 0 then "" else ",")
-        (json_escape name)
-        (json_float (Option.value ~default:0.0 (gauge t name))))
+        (Json.escape name)
+        (Json.float (Option.value ~default:0.0 (gauge t name))))
     gs;
   Buffer.add_string buf (if gs = [] then "},\n" else "\n  },\n");
   (* Labeled gauges nest name -> label key -> label value -> value, e.g.
@@ -329,7 +308,7 @@ let to_json t =
     (fun i name ->
       Printf.bprintf buf "%s\n    \"%s\": {"
         (if i = 0 then "" else ",")
-        (json_escape name);
+        (Json.escape name);
       let keys =
         List.filter_map
           (fun ((n, k, _), _) -> if n = name then Some k else None)
@@ -340,7 +319,7 @@ let to_json t =
         (fun j key ->
           Printf.bprintf buf "%s\"%s\": {"
             (if j = 0 then "" else ", ")
-            (json_escape key);
+            (Json.escape key);
           let vals =
             List.filter_map
               (fun ((n, k, v), value) ->
@@ -351,7 +330,7 @@ let to_json t =
             (fun m (v, value) ->
               Printf.bprintf buf "%s\"%s\": %s"
                 (if m = 0 then "" else ", ")
-                (json_escape v) (json_float value))
+                (Json.escape v) (Json.float value))
             vals;
           Buffer.add_string buf "}")
         keys;
@@ -369,8 +348,8 @@ let to_json t =
           "%s\n    \"%s\": {\"count\": %d, \"sum\": %s, \"min\": %s, \
            \"max\": %s, \"mean\": %s}"
           (if i = 0 then "" else ",")
-          (json_escape name) s.s_count (json_float s.s_sum)
-          (json_float s.s_min) (json_float s.s_max) (json_float s.s_mean))
+          (Json.escape name) s.s_count (Json.float s.s_sum)
+          (Json.float s.s_min) (Json.float s.s_max) (Json.float s.s_mean))
     hs;
   Buffer.add_string buf (if hs = [] then "}\n" else "\n  }\n");
   Buffer.add_string buf "}\n";

@@ -1,7 +1,7 @@
 (* Per-stage cost timers for the JIT pipeline, designed to be free when
    nobody is listening.  Instrumented sites (Compile.compile's lower /
-   emit / regalloc, Simulator.prepare, Vfast.compile, Exec's layout and
-   simulate) bracket the work with
+   emit / regalloc, Simulator.prepare, Exec's layout and simulate)
+   bracket the work with
 
      let t0 = Stage.start () in
      ... the stage ...

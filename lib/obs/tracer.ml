@@ -74,35 +74,15 @@ let on t = t.enabled
 let wall_clock t = t.enabled && t.wall
 let dropped t = t.dropped
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let value_to_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | S s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | I i -> string_of_int i
-  | F f ->
-    if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-      "null"
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.1f" f
-    else Printf.sprintf "%.17g" f
+  | F f -> Json.float f
   | Bool b -> string_of_bool b
 
 let emit t ~ph ~name ~depth attrs wall_ns =
   Printf.bprintf t.buf "{\"ev\":%d,\"ord\":%d,\"ph\":%S,\"depth\":%d,\"name\":\"%s\""
-    t.root_key t.ord ph depth (json_escape name);
+    t.root_key t.ord ph depth (Json.escape name);
   (match attrs with
   | [] -> ()
   | attrs ->
@@ -111,7 +91,7 @@ let emit t ~ph ~name ~depth attrs wall_ns =
       (fun i (k, v) ->
         Printf.bprintf t.buf "%s\"%s\":%s"
           (if i = 0 then "" else ",")
-          (json_escape k) (value_to_json v))
+          (Json.escape k) (value_to_json v))
       attrs;
     Buffer.add_string t.buf "}");
   (match wall_ns with

@@ -4,6 +4,9 @@
    quarantines and retries land identically run after run. *)
 
 module Op = Vapor_ir.Op
+module Eval = Vapor_ir.Eval
+module Buffer_ = Vapor_ir.Buffer_
+module Value = Vapor_ir.Value
 module Minstr = Vapor_machine.Minstr
 module Mfun = Vapor_machine.Mfun
 module Simulator = Vapor_machine.Simulator
@@ -382,6 +385,29 @@ let mangle_store_bytes t bytes =
     Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x5A));
     Bytes.to_string b
   end
+
+(* Corrupt an interpreter run's delivered result: negate the first
+   element of the first non-empty array argument (bit-invert an integer;
+   a NaN becomes 0, a zero 1).  The interpreter-tier analogue of
+   [corrupt] below — a wrong answer the differential oracle must catch. *)
+let perturb_args (args : (string * Eval.arg) list) =
+  let rec go = function
+    | [] -> ()
+    | (_, Eval.Array buf) :: rest ->
+      if Buffer_.length buf > 0 then
+        let v' =
+          match Buffer_.get buf 0 with
+          | Value.Int i -> Value.Int (lnot i)
+          | Value.Float f ->
+            if Float.is_nan f then Value.Float 0.0
+            else if f = 0.0 then Value.Float 1.0
+            else Value.Float (-.f)
+        in
+        Buffer_.set buf 0 v'
+      else go rest
+    | _ :: rest -> go rest
+  in
+  go args
 
 (* Corrupt one machine body the way a bad cache line would: perturb the
    first corruptible instruction (flip an arithmetic op, or nudge an

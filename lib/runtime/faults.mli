@@ -146,6 +146,10 @@ val restore : t -> snap -> unit
     chaos mode.  Checksum verification downstream must reject it. *)
 val mangle_store_bytes : t -> string -> string
 
+(** Corrupt an interpreter run's delivered result in place: perturb the
+    first element of the first non-empty array argument. *)
+val perturb_args : (string * Vapor_ir.Eval.arg) list -> unit
+
 (** Perturb the first corruptible instruction (arithmetic op flip or
     immediate nudge); [None] if the body holds nothing corruptible.  The
     corrupted body still simulates — it computes a wrong answer for the

@@ -7,6 +7,7 @@ module Flows = Vapor_harness.Flows
 module Driver = Vapor_vectorizer.Driver
 module Tracer = Vapor_obs.Tracer
 module Stage = Vapor_obs.Stage
+module Json = Vapor_obs.Json
 module Store = Vapor_store.Store
 
 type config = {
@@ -15,11 +16,9 @@ type config = {
   cfg_hotness : int;
   cfg_max_entries : int;
   cfg_max_bytes : int;
-  cfg_rejuvenate : (int * Target.t * Target.t) option;
-  (* Additional retarget triggers, each latched independently: capability
-     UPGRADES (sse -> avx512, neon -> sve) as well as drops, for the
-     heterogeneous-fleet scenario.  Each entry is (at_event, from, to),
-     same semantics as [cfg_rejuvenate]. *)
+  (* Retarget triggers (at_event, from, to), each latched independently
+     and fired in list order: rejuvenation, capability UPGRADES (sse ->
+     avx512, neon -> sve) as well as drops. *)
   cfg_retargets : (int * Target.t * Target.t) list;
   cfg_guard : Tiered.guard;
   (* At trace index N the serving fleet loses SIMD capability: every
@@ -44,7 +43,6 @@ let default_config ~targets =
     cfg_hotness = 3;
     cfg_max_entries = 64;
     cfg_max_bytes = 256 * 1024;
-    cfg_rejuvenate = None;
     cfg_retargets = [];
     cfg_guard = Tiered.no_guard;
     cfg_drop_simd = None;
@@ -160,7 +158,6 @@ type shard = {
   sh_table :
     (string, Suite.entry * Vapor_vecir.Bytecode.vkernel * Digest.t) Hashtbl.t;
   sh_targets : Target.t array;
-  mutable sh_rejuvenated : bool;
   (* one latch per [cfg_retargets] entry *)
   sh_retargeted : bool array;
   mutable sh_dropped : bool;
@@ -228,7 +225,6 @@ let pool_create ?(tracer = Tracer.disabled) ?(shards = 1) (cfg : config)
       sh_guard = guard;
       sh_table = Hashtbl.copy table;
       sh_targets = Array.of_list cfg.cfg_targets;
-      sh_rejuvenated = false;
       sh_retargeted = Array.make (List.length cfg.cfg_retargets) false;
       sh_dropped = false;
     }
@@ -309,13 +305,6 @@ let fire_triggers pool ~shard (ev : Trace.event) =
           sh.sh_targets.(i) <- to_t)
       sh.sh_targets
   in
-  (match cfg.cfg_rejuvenate with
-  | Some (at, from_t, to_t)
-    when (not sh.sh_rejuvenated) && ev.Trace.ev_index >= at ->
-    sh.sh_rejuvenated <- true;
-    fired := true;
-    retarget ~from_t ~to_t
-  | _ -> ());
   List.iteri
     (fun i (at, from_t, to_t) ->
       if (not sh.sh_retargeted.(i)) && ev.Trace.ev_index >= at then begin
@@ -444,7 +433,6 @@ type shard_snap = {
   sp_tiered : Tiered.snap;
   sp_faults : Faults.snap option;
   sp_targets : Target.t array;
-  sp_rejuvenated : bool;
   sp_retargeted : bool array;
   sp_dropped : bool;
 }
@@ -457,7 +445,6 @@ let shard_snapshot pool ~shard : shard_snap =
     sp_tiered = Tiered.snapshot sh.sh_tiered;
     sp_faults = Option.map Faults.snapshot sh.sh_guard.Tiered.g_faults;
     sp_targets = Array.copy sh.sh_targets;
-    sp_rejuvenated = sh.sh_rejuvenated;
     sp_retargeted = Array.copy sh.sh_retargeted;
     sp_dropped = sh.sh_dropped;
   }
@@ -474,7 +461,6 @@ let shard_restore pool ~shard (sp : shard_snap) =
   | Some f, Some fsnap -> Faults.restore f fsnap
   | _ -> ());
   Array.blit sp.sp_targets 0 sh.sh_targets 0 (Array.length sh.sh_targets);
-  sh.sh_rejuvenated <- sp.sp_rejuvenated;
   Array.blit sp.sp_retargeted 0 sh.sh_retargeted 0
     (Array.length sh.sh_retargeted);
   sh.sh_dropped <- sp.sp_dropped
@@ -632,8 +618,7 @@ let report_of ~trace_desc ~(records : event_record list) ~rows ~hits ~misses
 (* Observability gauges, recorded once a replay finishes.  Deliberately
    gauges, not counters: [Stats.to_table] renders counters and histograms
    only, so reports stay byte-identical whether or not anyone exports
-   metrics.  Count-like gauges pool additively under [Stats.merge_into];
-   the [slot.hit_rate] ratio is recomputed after any merge. *)
+   metrics.  They pool additively under [Stats.merge_into]. *)
 let record_gauges ~cache ~tiered ~(guard : Tiered.guard) (st : Stats.t) =
   Stats.add_gauge st "cache.bytes"
     (float_of_int (Code_cache.byte_count cache));
@@ -650,9 +635,6 @@ let record_gauges ~cache ~tiered ~(guard : Tiered.guard) (st : Stats.t) =
      from a cold one here, and reports must not. *)
   Stats.add_gauge st "jit.real_compiles"
     (float_of_int (Code_cache.real_compiles cache));
-  Stats.add_gauge st "slot.compiles"
-    (float_of_int (Tiered.slot_compiles tiered));
-  Stats.add_gauge st "slot.hits" (float_of_int (Tiered.slot_hits tiered));
   let quarantined =
     List.fold_left
       (fun n (s : Tiered.kstate) ->
@@ -675,12 +657,6 @@ let record_gauges ~cache ~tiered ~(guard : Tiered.guard) (st : Stats.t) =
     Stats.add_gauge st "faults.store_io_faults"
       (float_of_int (Faults.store_io_fault_count f))
   | None -> ()
-
-let finalize_gauges (st : Stats.t) =
-  let v name = Option.value ~default:0.0 (Stats.gauge st name) in
-  let compiles = v "slot.compiles" and hits = v "slot.hits" in
-  if compiles +. hits > 0.0 then
-    Stats.set_gauge st "slot.hit_rate" (hits /. (compiles +. hits))
 
 (* Store gauges are recorded once, post-merge, from the store's own
    counters — they are whole-store facts, not per-shard ones, so they
@@ -723,7 +699,6 @@ let pool_report ?stats pool ~trace_desc ~(records : event_record list) :
       if Array.length shards > 1 then
         Tracer.absorb ~into:pool.pl_tracer sh.sh_tracer)
     shards;
-  finalize_gauges st;
   (match pool.pl_cfg.cfg_store with
   | Some store ->
     Store.merge store (Array.to_list pool.pl_sessions);
@@ -747,8 +722,8 @@ let pool_report ?stats pool ~trace_desc ~(records : event_record list) :
     ~hit_rate ~st
 
 (* The trace is partitioned by kernel digest so every invocation of one
-   bytecode body lands in the same shard — tier state, the code cache, and
-   slot bodies need no cross-domain sharing.  Shard assignment balances
+   bytecode body lands in the same shard — tier state and the code cache
+   need no cross-domain sharing.  Shard assignment balances
    per-digest event counts (LPT) and the pool clamps spawned OS domains to
    the core count; per-event records merge back in trace order, so the
    merged report is identical for any shard count and any core count
@@ -843,50 +818,26 @@ let print_report rp = print_string (report_to_string rp)
 
 (* --- JSON rendering ---------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* %.17g round-trips every float and never prints OCaml's non-JSON "inf"
-   unguarded; infinities are clamped to nulls. *)
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-    "null"
-  else Printf.sprintf "%.17g" f
-
 let report_to_json rp =
   let buf = Buffer.create 2048 in
   let field name value = Printf.bprintf buf "  %S: %s,\n" name value in
   Buffer.add_string buf "{\n";
-  field "trace" (Printf.sprintf "%S" (json_escape rp.rp_trace));
+  field "trace" (Printf.sprintf "\"%s\"" (Json.escape rp.rp_trace));
   field "invocations" (string_of_int rp.rp_invocations);
   field "interp_invocations" (string_of_int rp.rp_interp_invocations);
   field "jit_invocations" (string_of_int rp.rp_jit_invocations);
   field "total_cycles" (string_of_int rp.rp_total_cycles);
   field "interp_cycles" (string_of_int rp.rp_interp_cycles);
   field "jit_cycles" (string_of_int rp.rp_jit_cycles);
-  field "throughput_inv_per_mcycle" (json_float (throughput rp));
-  field "total_compile_us" (json_float rp.rp_total_compile_us);
-  field "cold_compile_us" (json_float rp.rp_cold_compile_us);
-  field "amortized_us" (json_float rp.rp_amortized_us);
+  field "throughput_inv_per_mcycle" (Json.float (throughput rp));
+  field "total_compile_us" (Json.float rp.rp_total_compile_us);
+  field "cold_compile_us" (Json.float rp.rp_cold_compile_us);
+  field "amortized_us" (Json.float rp.rp_amortized_us);
   field "cache_hits" (string_of_int rp.rp_hits);
   field "cache_misses" (string_of_int rp.rp_misses);
   field "cache_evictions" (string_of_int rp.rp_evictions);
   field "cache_rejuvenations" (string_of_int rp.rp_rejuvenations);
-  field "cache_hit_rate" (json_float rp.rp_hit_rate);
+  field "cache_hit_rate" (Json.float rp.rp_hit_rate);
   field "oracle_checks" (string_of_int rp.rp_oracle_checks);
   field "oracle_mismatches" (string_of_int rp.rp_oracle_mismatches);
   field "quarantines" (string_of_int rp.rp_quarantines);
@@ -898,10 +849,10 @@ let report_to_json rp =
         "    {\"kernel\": \"%s\", \"target\": \"%s\", \"digest\": \"%s\", \
          \"invocations\": %d, \"interp_runs\": %d, \"jit_runs\": %d, \
          \"cold_compile_us\": %s, \"quarantined\": %b}%s\n"
-        (json_escape r.kr_kernel) (json_escape r.kr_target)
-        (json_escape r.kr_digest) r.kr_invocations r.kr_interp_runs
+        (Json.escape r.kr_kernel) (Json.escape r.kr_target)
+        (Json.escape r.kr_digest) r.kr_invocations r.kr_interp_runs
         r.kr_jit_runs
-        (json_float r.kr_cold_compile_us)
+        (Json.float r.kr_cold_compile_us)
         r.kr_quarantined
         (if i = List.length rp.rp_rows - 1 then "" else ","))
     rp.rp_rows;
@@ -910,7 +861,7 @@ let report_to_json rp =
   let names = Stats.counter_names rp.rp_stats in
   List.iteri
     (fun i name ->
-      Printf.bprintf buf "    \"%s\": %d%s\n" (json_escape name)
+      Printf.bprintf buf "    \"%s\": %d%s\n" (Json.escape name)
         (Stats.counter rp.rp_stats name)
         (if i = List.length names - 1 then "" else ","))
     names;

@@ -16,15 +16,12 @@ type config = {
   cfg_hotness : int;  (** interpreter runs before JIT promotion *)
   cfg_max_entries : int;  (** code-cache entry budget *)
   cfg_max_bytes : int;  (** code-cache modeled-byte budget *)
-  cfg_rejuvenate : (int * Target.t * Target.t) option;
-      (** [(at_event, from, to)]: at event [at_event], re-lower cached
-          code from one target to another and redirect subsequent traffic
-          (the Revec rejuvenation scenario) *)
   cfg_retargets : (int * Target.t * Target.t) list;
-      (** additional retarget triggers, each latched independently —
-          capability upgrades (sse to avx512, neon to sve) as well as
-          drops, for the heterogeneous-fleet scenario; entries have
-          [cfg_rejuvenate] semantics *)
+      (** retarget triggers, each latched independently and fired in list
+          order: [(at_event, from, to)] re-lowers cached code from one
+          target to another at event [at_event] and redirects subsequent
+          traffic (the Revec rejuvenation scenario) — capability upgrades
+          (sse to avx512, neon to sve) as well as drops *)
   cfg_guard : Tiered.guard;
       (** guarded-execution configuration; {!Tiered.no_guard} leaves the
           healthy path byte-identical *)
@@ -271,8 +268,8 @@ val amortization_factor : report -> float
     pooled trace is byte-identical for any [domains] value.  After the
     replay, observability gauges ([cache.bytes], [cache.entries],
     [cache.evicted_entries], [cache.invalidated_entries],
-    [jit.real_compiles], [slot.compiles], [slot.hits], [slot.hit_rate],
-    [tier.quarantined_kernels], fault-draw counts when guarded, and
+    [jit.real_compiles], [tier.quarantined_kernels], fault-draw counts
+    when guarded, and
     [store.*] when a persistent store is configured) are recorded on the
     registry — gauges never appear in {!Stats.to_table}, so reports are
     unaffected. *)

@@ -4,7 +4,6 @@
 module B = Vapor_vecir.Bytecode
 module Encode = Vapor_vecir.Encode
 module Veval = Vapor_vecir.Veval
-module Vfast = Vapor_vecir.Vfast
 module Target = Vapor_targets.Target
 module Profile = Vapor_jit.Profile
 module Compile = Vapor_jit.Compile
@@ -57,11 +56,11 @@ type guard = {
 
 let no_guard = { g_oracle = None; g_faults = None; g_retry_budget = 3 }
 
-(* Which execution engine serves invocations.  [Fast] (the default) runs
-   slot-compiled bytecode bodies in the interpreter tier and pre-resolved
-   plans in the JIT tier; [Reference] runs the tree-walking Veval and the
-   instruction-by-instruction Simulator.run — the baseline the fast engine
-   is benchmarked (and differentially checked) against. *)
+(* Which simulator runs JIT-tier bodies.  [Fast] (the default) runs the
+   pre-resolved plan; [Reference] runs the instruction-by-instruction
+   Simulator.run — the baseline the plan is benchmarked (and
+   differentially checked) against.  The interpreter tier always runs
+   Veval. *)
 type engine =
   | Reference
   | Fast
@@ -89,13 +88,6 @@ type t = {
   store : Vapor_store.Store.session option;
       (* write-through persistent tier: probed on in-memory miss,
          published after every real compile *)
-  (* slot-compiled interpreter bodies, cached per (bytecode, eval mode);
-     the mode key is the vector size in bytes, 0 for scalarized *)
-  slot_bodies : (Digest.t * int, Vfast.compiled) Hashtbl.t;
-  (* plain fields, not Stats counters: the report layer must stay
-     byte-identical between engines *)
-  mutable slot_compiles : int;
-  mutable slot_hits : int;
 }
 
 let create ?stats ?(guard = no_guard) ?(engine = Fast)
@@ -109,9 +101,6 @@ let create ?stats ?(guard = no_guard) ?(engine = Fast)
     engine;
     tracer;
     store;
-    slot_bodies = Hashtbl.create 32;
-    slot_compiles = 0;
-    slot_hits = 0;
   }
 
 (* What the guard machinery concluded about this invocation — the signal
@@ -220,22 +209,6 @@ let quarantine t (s : kstate) =
     Stats.incr t.st "tier.demotions"
   end
 
-let mode_key = function
-  | Veval.Vector vs -> vs
-  | Veval.Scalarized -> 0
-
-let slot_body t ~digest ~mode vk =
-  let key = digest, mode_key mode in
-  match Hashtbl.find_opt t.slot_bodies key with
-  | Some c ->
-    t.slot_hits <- t.slot_hits + 1;
-    c
-  | None ->
-    let c = Vfast.compile vk ~mode in
-    t.slot_compiles <- t.slot_compiles + 1;
-    Hashtbl.replace t.slot_bodies key c;
-    c
-
 (* The duplicate-operand elision memo of one batch of co-dispatched
    invocations: per tier, caller signature -> the modeled cycle charge of
    the execution that already ran those operands.  The serving layer's
@@ -254,71 +227,55 @@ let batch_reset b =
   Hashtbl.reset b.bt_interp;
   Hashtbl.reset b.bt_jit
 
-(* One interpreter execution.  The fast engine runs the slot-compiled
-   body (cached per bytecode digest and mode); the reference engine — and
-   any quarantined kernel — runs Veval.  The modeled cycle charge is the
-   same either way: the model prices the abstract interpreter, not our
-   implementation of it.
+(* The differential oracle's schedule, given a tier's run count for this
+   body so far: its first run, then every [op_sample_every]-th. *)
+let oracle_due t ~runs =
+  match t.guard.g_oracle with
+  | None -> false
+  | Some p ->
+    (p.op_first_run && runs = 0)
+    || (p.op_sample_every > 0 && runs > 0 && runs mod p.op_sample_every = 0)
 
-   Under a guard, slot bodies get the same treatment as JIT bodies: the
-   fault injector may corrupt the delivered body, and the differential
-   oracle re-runs the reference interpreter on a copy of the arguments
-   (first run, then sampled) — on a mismatch the body is evicted, the
-   kernel quarantined, and the caller gets the reference answer.
-   Returns (modeled cycles, oracle-check cycles, mismatched). *)
-let interp_exec ~force_check t (s : kstate) ~digest ~(target : Target.t) vk
-    ~args =
+(* One interpreter execution, on Veval.  The modeled cycle charge prices
+   the abstract interpreter, not our implementation of it.
+
+   Under a guard, an interpreter run gets the same treatment as a JIT
+   body: the fault injector may corrupt the delivered result, and the
+   differential oracle re-runs Veval on a pristine copy of the arguments
+   (first run, then sampled) — on a mismatch the kernel is quarantined
+   and the caller gets the oracle's answer.  A quarantined kernel runs
+   unguarded.  Returns (modeled cycles, oracle-check cycles,
+   mismatched). *)
+let interp_exec ~force_check t (s : kstate) ~(target : Target.t) vk ~args =
   let mode = veval_mode target in
   let cycles = interp_cycles vk ~args in
-  let extra, mismatched =
-    if t.engine = Reference || s.ks_quarantined then begin
-      ignore (Veval.run vk ~mode ~args);
-      0, false
-    end
-    else begin
-      let body = slot_body t ~digest ~mode vk in
-      let body =
-        match t.guard.g_faults with
-        | Some f when Faults.should_corrupt f ->
-          Stats.incr t.st "faults.corrupted_bodies";
-          Vfast.corrupt body
-        | _ -> body
-      in
-      let check =
-        force_check
-        ||
-        match t.guard.g_oracle with
-        | None -> false
-        | Some p ->
-          (p.op_first_run && s.ks_interp_runs = 0)
-          || (p.op_sample_every > 0
-             && s.ks_interp_runs > 0
-             && s.ks_interp_runs mod p.op_sample_every = 0)
-      in
-      if not check then begin
-        ignore (Vfast.run body ~args);
-        0, false
-      end
-      else begin
-        (* Differential check against the reference interpreter — always
-           Veval, never another compiled body. *)
-        let ref_args = copy_args args in
-        ignore (Vfast.run body ~args);
-        Stats.incr t.st "oracle.checks";
-        ignore (Veval.run vk ~mode ~args:ref_args);
-        let check_cycles = interp_cycles vk ~args:ref_args in
-        if args_equal args ref_args then check_cycles, false
-        else begin
-          Stats.incr t.st "oracle.mismatches";
-          Hashtbl.remove t.slot_bodies (digest, mode_key mode);
-          quarantine t s;
-          restore_args ~into:args ~from:ref_args;
-          check_cycles, true
-        end
-      end
-    end
+  let guarded = not s.ks_quarantined in
+  let corrupt =
+    guarded
+    &&
+    match t.guard.g_faults with
+    | Some f when Faults.should_corrupt f ->
+      Stats.incr t.st "faults.corrupted_bodies";
+      true
+    | _ -> false
   in
-  cycles, extra, mismatched
+  let check = guarded && (force_check || oracle_due t ~runs:s.ks_interp_runs) in
+  let reference = if check then Some (copy_args args) else None in
+  ignore (Veval.run vk ~mode ~args);
+  if corrupt then Faults.perturb_args args;
+  match reference with
+  | None -> cycles, 0, false
+  | Some ref_args ->
+    Stats.incr t.st "oracle.checks";
+    ignore (Veval.run vk ~mode ~args:ref_args);
+    let check_cycles = interp_cycles vk ~args:ref_args in
+    if args_equal args ref_args then cycles, check_cycles, false
+    else begin
+      Stats.incr t.st "oracle.mismatches";
+      quarantine t s;
+      restore_args ~into:args ~from:ref_args;
+      cycles, check_cycles, true
+    end
 
 (* One interpreter run with tier bookkeeping.  A batch [memo] (passed
    only on the unguarded fast path, see {!invoke_lazy}) may already hold
@@ -326,7 +283,7 @@ let interp_exec ~force_check t (s : kstate) ~digest ~(target : Target.t) vk
    charge is replayed, and the arguments are neither built nor run.  The
    bookkeeping after the execution is shared, so an elided run cannot be
    told apart from an executed one. *)
-let interp_run ?(force_check = false) ?memo t (s : kstate) ~digest
+let interp_run ?(force_check = false) ?memo t (s : kstate)
     ~(target : Target.t) vk ~args =
   let memoized =
     match memo with
@@ -335,13 +292,10 @@ let interp_run ?(force_check = false) ?memo t (s : kstate) ~digest
   in
   let cycles, extra, mismatched =
     match memoized with
-    | Some cycles ->
-      (* the slot-body cache hit the execution would have made *)
-      t.slot_hits <- t.slot_hits + 1;
-      cycles, 0, false
+    | Some cycles -> cycles, 0, false
     | None ->
       let ((cycles, extra, mismatched) as r) =
-        interp_exec ~force_check t s ~digest ~target vk ~args:(Lazy.force args)
+        interp_exec ~force_check t s ~target vk ~args:(Lazy.force args)
       in
       (match memo with
       | Some (b, key) when not mismatched ->
@@ -495,13 +449,13 @@ let note_invocation t (s : kstate) =
 
 (* The interpreter-tier arm of an invocation: exec span + tiered
    interpreter run. *)
-let interp_invoke ?memo t (s : kstate) ~digest ~(target : Target.t)
-    ~force_check vk ~args =
+let interp_invoke ?memo t (s : kstate) ~(target : Target.t) ~force_check vk
+    ~args =
   let tr = t.tracer in
   if Tracer.on tr then
     Tracer.span_begin tr ~name:"exec" [ "tier", Tracer.S "interp" ];
   let cycles, mismatched =
-    interp_run ~force_check ?memo t s ~digest ~target vk ~args
+    interp_run ~force_check ?memo t s ~target vk ~args
   in
   if Tracer.on tr then
     Tracer.span_end tr ~attrs:[ "cycles", Tracer.I cycles ] ~name:"exec" ();
@@ -557,8 +511,8 @@ let jit_fetch_slow ?(discard_store_hit = false) t ~(target : Target.t)
 (* The JIT-tier arm of an invocation, given the fetched body.  A batch
    [memo] replays the charge of a co-batched element that already ran
    these operands on this cached body, exactly as in {!interp_run}. *)
-let jit_run ?memo t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle
-    vk ~args fetched =
+let jit_run ?memo t (s : kstate) ~(target : Target.t) ~force_oracle vk ~args
+    fetched =
   let tr = t.tracer in
   match fetched with
   | Error ((_err : Compile.lower_error), backoff_us) ->
@@ -567,7 +521,7 @@ let jit_run ?memo t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle
        that cannot succeed. *)
     Stats.incr t.st "guard.compile_errors";
     quarantine t s;
-    let cycles, _ = interp_run t s ~digest:d ~target vk ~args in
+    let cycles, _ = interp_run t s ~target vk ~args in
     { r_tier = Interpreter; r_cycles = cycles;
       r_compile_us = backoff_us; r_cache = None;
       r_outcome = Compile_error; r_real_compile = false }
@@ -595,19 +549,7 @@ let jit_run ?memo t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle
           | None -> compiled)
         | _ -> compiled
       in
-      (* Differential oracle schedule: first JIT run of this body, then
-         every [op_sample_every]-th run. *)
-      let check =
-        force_oracle
-        ||
-        match t.guard.g_oracle with
-        | None -> false
-        | Some p ->
-          (p.op_first_run && s.ks_jit_runs = 0)
-          || (p.op_sample_every > 0
-             && s.ks_jit_runs > 0
-             && s.ks_jit_runs mod p.op_sample_every = 0)
-      in
+      let check = force_oracle || oracle_due t ~runs:s.ks_jit_runs in
       let memoized =
         match memo, outcome with
         | Some (b, key), Code_cache.Hit -> Hashtbl.find_opt b.bt_jit key
@@ -649,7 +591,7 @@ let jit_run ?memo t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle
            re-runs the invocation from the original inputs. *)
         Stats.incr t.st "guard.exec_faults";
         quarantine t s;
-        let cycles, _ = interp_run t s ~digest:d ~target vk ~args in
+        let cycles, _ = interp_run t s ~target vk ~args in
         { r_tier = Interpreter; r_cycles = cycles; r_compile_us = charged;
           r_cache = Some outcome; r_outcome = Exec_fault;
           r_real_compile = real_compile }
@@ -709,16 +651,16 @@ let jit_run ?memo t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle
 
 let resolve ?digest ?label t ~(target : Target.t) ~(profile : Profile.t)
     (vk : B.vkernel) =
-  let d = match digest with Some d -> d | None -> Digest.of_vkernel vk in
   let key =
     {
-      Digest.k_digest = d;
+      Digest.k_digest =
+        (match digest with Some d -> d | None -> Digest.of_vkernel vk);
       k_target = target.Target.name;
       k_profile = profile.Profile.name;
     }
   in
   let label = match label with Some l -> l | None -> vk.B.name in
-  d, key, state_of t key label
+  key, state_of t key label
 
 (* The one invocation body.  [memo] (a batch and the caller's operand
    signature) enables duplicate-operand elision; it is honoured only on
@@ -732,7 +674,7 @@ let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
      cache: "sve" and its resolved spelling must not alias distinct
      entries. *)
   let target = Target.resolve target in
-  let d, key, s = resolve ?digest ?label t ~target ~profile vk in
+  let key, s = resolve ?digest ?label t ~target ~profile vk in
   let memo =
     match memo with
     | Some _
@@ -750,8 +692,7 @@ let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
      JIT serving the moment the caller stops forcing. *)
   match (if interp_only then Interpreter else s.ks_tier) with
   | Interpreter ->
-    interp_invoke ?memo t s ~digest:d ~target ~force_check:force_oracle vk
-      ~args
+    interp_invoke ?memo t s ~target ~force_check:force_oracle vk ~args
   | Jit ->
     (* Obtain the body: cache lookup, else store probe / compile (with
        bounded retry against injected transient faults) and insert.
@@ -768,7 +709,7 @@ let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
       | Some compiled -> Ok (compiled, Code_cache.Hit, 0.0, false)
       | None -> jit_fetch_slow ~discard_store_hit t ~target ~profile ~key vk
     in
-    jit_run ?memo t s ~digest:d ~target ~force_oracle vk ~args fetched
+    jit_run ?memo t s ~target ~force_oracle vk ~args fetched
 
 let invoke ?digest ?label ?interp_only ?force_oracle ?discard_store_hit t
     ~target ~profile vk ~args =
@@ -812,44 +753,26 @@ let stats t = t.st
 let engine t = t.engine
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
-let slot_compiles t = t.slot_compiles
-let slot_hits t = t.slot_hits
 
 (* --- checkpoint snapshot ------------------------------------------------
    The runtime state a shard checkpoint must capture beyond the code
    cache: per-kernel tier states (hotness, promotion history, quarantine
-   flags), the slot-compiled interpreter bodies, and the engine-private
-   counters.  Compiled bodies are immutable and shared; kstate records
-   are copied because every field but the key mutates. *)
+   flags).  kstate records are copied because every field but the key
+   mutates. *)
 
-type snap = {
-  sn_states : (Digest.key * kstate) list;
-  sn_slot_bodies : (Digest.t * int, Vfast.compiled) Hashtbl.t;
-  sn_slot_compiles : int;
-  sn_slot_hits : int;
-}
+type snap = (Digest.key * kstate) list
 
 let snapshot t =
-  {
-    sn_states =
-      Hashtbl.fold
-        (fun k s acc -> (k, { s with ks_invocations = s.ks_invocations }) :: acc)
-        t.states [];
-    sn_slot_bodies = Hashtbl.copy t.slot_bodies;
-    sn_slot_compiles = t.slot_compiles;
-    sn_slot_hits = t.slot_hits;
-  }
+  Hashtbl.fold
+    (fun k s acc -> (k, { s with ks_invocations = s.ks_invocations }) :: acc)
+    t.states []
 
 let restore t sn =
   Hashtbl.reset t.states;
   List.iter
     (fun (k, s) ->
       Hashtbl.replace t.states k { s with ks_invocations = s.ks_invocations })
-    sn.sn_states;
-  Hashtbl.reset t.slot_bodies;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.slot_bodies k v) sn.sn_slot_bodies;
-  t.slot_compiles <- sn.sn_slot_compiles;
-  t.slot_hits <- sn.sn_slot_hits
+    sn
 
 (* Deterministic digest-level rows for the on-disk checkpoint artifact:
    (label, target, tier, invocations, quarantined), sorted. *)
@@ -861,5 +784,5 @@ let snap_rows sn =
         tier_to_string s.ks_tier,
         s.ks_invocations,
         s.ks_quarantined ))
-    sn.sn_states
+    sn
   |> List.sort compare

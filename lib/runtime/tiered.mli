@@ -63,12 +63,12 @@ type guard = {
 
 val no_guard : guard
 
-(** Which execution engine serves invocations.  [Fast] (the default) runs
-    slot-compiled bytecode bodies in the interpreter tier and pre-resolved
-    plans in the JIT tier; [Reference] runs the tree-walking interpreter
-    and the instruction-by-instruction simulator — the baseline the fast
-    engine is benchmarked (and differentially checked) against.  Results
-    and reports are identical between engines; only wall-clock differs. *)
+(** Which simulator runs JIT-tier bodies.  [Fast] (the default) runs the
+    pre-resolved plan; [Reference] runs the instruction-by-instruction
+    simulator — the baseline the plan is benchmarked (and differentially
+    checked) against.  The interpreter tier runs {!Vapor_vecir.Veval}
+    under either.  Results and reports are identical between engines;
+    only wall-clock differs. *)
 type engine =
   | Reference
   | Fast
@@ -137,9 +137,9 @@ type run = {
 
     [force_oracle] (default false) forces a differential check on this
     invocation regardless of the guard's sampling policy (including no
-    policy at all) — the breaker's half-open probe.  Quarantined kernels
-    and the [Reference] engine's interpreter tier already run the
-    reference semantics, so forcing is a no-op there.
+    policy at all) — the breaker's half-open probe.  A quarantined
+    kernel already gets the oracle's semantics, so forcing is a no-op
+    there.
 
     [discard_store_hit] (default false) is the recovery-replay hint for
     an invocation whose original execution really compiled: the store is
@@ -188,9 +188,9 @@ val batch_reset : batch -> unit
     probe, [Fast] engine, kernel not quarantined); everywhere else it is
     ignored.  Every per-element effect still applies — invocation and
     hotness accounting, cache LRU touch and hit counters, tier run
-    counters and cycle histograms, slot-body hits, tracer spans other
-    than the skipped stage leaves — so a batched drain's report is
-    byte-identical to single dispatch. *)
+    counters and cycle histograms, tracer spans other than the skipped
+    stage leaves — so a batched drain's report is byte-identical to
+    single dispatch. *)
 val invoke_lazy :
   ?digest:Digest.t ->
   ?label:string ->
@@ -224,13 +224,6 @@ val tracer : t -> Vapor_obs.Tracer.t
     recovered trace must match). *)
 val set_tracer : t -> Vapor_obs.Tracer.t -> unit
 
-(** Slot-compilation telemetry (plain fields, deliberately outside
-    {!Stats}: the metrics table must stay byte-identical between
-    engines). *)
-val slot_compiles : t -> int
-
-val slot_hits : t -> int
-
 (** The modeled interpreter cost (exposed for tests). *)
 val interp_cycles : B.vkernel -> args:(string * Eval.arg) list -> int
 
@@ -238,10 +231,9 @@ val interp_cycles : B.vkernel -> args:(string * Eval.arg) list -> int
 
     The runtime state a shard checkpoint captures beyond the code cache:
     per-kernel tier states (hotness, promotion history, quarantine
-    flags), slot-compiled interpreter bodies, and the engine-private
-    counters.  Compiled bodies are immutable and shared; {!restore}
-    replaces the destination's state in place, leaving its
-    configuration (guard, engine, tracer, store session) untouched. *)
+    flags).  {!restore} replaces the destination's state in place,
+    leaving its configuration (guard, engine, tracer, store session)
+    untouched. *)
 
 type snap
 

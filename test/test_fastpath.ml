@@ -1,14 +1,12 @@
-(* Tests for the fast-path execution engine: the slot-compiled interpreter
-   (Vfast) against the reference Veval, the pre-resolved simulator plans
-   against the original Simulator.run, and the sharded replay driver
-   against the single-domain service. *)
+(* Tests for the fast-path execution engine: the pre-resolved simulator
+   plans against the original Simulator.run, the sharded replay driver
+   against the single-domain service, and the guarded interpreter tier. *)
 
 open Vapor_ir
 module Suite = Vapor_kernels.Suite
 module Driver = Vapor_vectorizer.Driver
 module Flows = Vapor_harness.Flows
 module Veval = Vapor_vecir.Veval
-module Vfast = Vapor_vecir.Vfast
 module Target = Vapor_targets.Target
 
 module Exec = Vapor_harness.Exec
@@ -49,155 +47,6 @@ let check_args_bit_equal ctx a b =
       if not (Buffer_.equal b1 b2) then
         fail (Printf.sprintf "%s: array %s differs bitwise" ctx n1))
     (arrays a) (arrays b)
-
-let mode_name = function
-  | Veval.Vector vs -> Printf.sprintf "v%d" vs
-  | Veval.Scalarized -> "scalarized"
-
-(* The final scalar environments must carry the same bindings. *)
-let check_scalars_equal ctx (ref_s : (string, Value.t) Hashtbl.t) fast_s =
-  check_int (ctx ^ ": scalar count") (Hashtbl.length ref_s)
-    (Hashtbl.length fast_s);
-  Hashtbl.iter
-    (fun name v ->
-      match Hashtbl.find_opt fast_s name with
-      | None -> fail (Printf.sprintf "%s: scalar %s missing" ctx name)
-      | Some v' ->
-        if not (Value.equal v v') then
-          fail
-            (Printf.sprintf "%s: scalar %s = %s, reference %s" ctx name
-               (Value.to_string v') (Value.to_string v)))
-    ref_s
-
-(* --- slot-compiled interpreter == reference Veval ---------------------- *)
-
-let vfast_sweep_case () =
-  (* Every kernel, every target's vector size plus scalarized mode: the
-     slot-compiled body and the reference evaluator must agree bit-for-bit
-     on every output buffer and every final scalar. *)
-  List.iter
-    (fun (entry : Suite.entry) ->
-      let vk = bytecode entry in
-      List.iter
-        (fun (target : Target.t) ->
-          List.iter
-            (fun mode ->
-              let ctx =
-                Printf.sprintf "%s/%s/%s" entry.Suite.name
-                  target.Target.name (mode_name mode)
-              in
-              let fast_args = entry.Suite.args ~scale:1 in
-              let ref_args = copy_args fast_args in
-              let ref_s = Veval.run vk ~mode ~args:ref_args in
-              let compiled = Vfast.compile vk ~mode in
-              let fast_s = Vfast.run compiled ~args:fast_args in
-              check_args_bit_equal ctx ref_args fast_args;
-              check_scalars_equal ctx ref_s fast_s)
-            [ veval_mode target; Veval.Scalarized ])
-        Vapor_targets.Scalar_target.all)
-    Suite.all
-
-let vfast_guard_false_case () =
-  (* With every version guard failing, the fallback branches run; the fast
-     path must take them identically. *)
-  let guard_true _ = false in
-  List.iter
-    (fun (entry : Suite.entry) ->
-      let vk = bytecode entry in
-      let mode = Veval.Vector 16 in
-      let ctx = entry.Suite.name ^ "/guard-false" in
-      let fast_args = entry.Suite.args ~scale:1 in
-      let ref_args = copy_args fast_args in
-      let ref_s = Veval.run ~guard_true vk ~mode ~args:ref_args in
-      let compiled = Vfast.compile vk ~mode in
-      let fast_s = Vfast.run ~guard_true compiled ~args:fast_args in
-      check_args_bit_equal ctx ref_args fast_args;
-      check_scalars_equal ctx ref_s fast_s)
-    Suite.all
-
-let vfast_reuse_case () =
-  (* One compiled body, run repeatedly: runs are independent (fresh
-     environment each time) and keep matching the reference. *)
-  let entry = Suite.find "sfir_fp" in
-  let vk = bytecode entry in
-  let mode = Veval.Vector 16 in
-  let compiled = Vfast.compile vk ~mode in
-  for i = 1 to 3 do
-    let fast_args = entry.Suite.args ~scale:1 in
-    let ref_args = copy_args fast_args in
-    let ref_s = Veval.run vk ~mode ~args:ref_args in
-    let fast_s = Vfast.run compiled ~args:fast_args in
-    let ctx = Printf.sprintf "sfir_fp run %d" i in
-    check_args_bit_equal ctx ref_args fast_args;
-    check_scalars_equal ctx ref_s fast_s
-  done
-
-let error_message body_error args_of =
-  match body_error args_of with
-  | exception Veval.Error m -> Some m
-  | _ -> None
-
-let vfast_error_equiv_case () =
-  (* Faults must match the reference exactly: same exception, same
-     message, for missing arguments, kind mismatches, and argument-order
-     robustness. *)
-  let entry = Suite.find "saxpy_fp" in
-  let vk = bytecode entry in
-  let mode = Veval.Vector 16 in
-  let compiled = Vfast.compile vk ~mode in
-  let cases =
-    [
-      "missing", (fun args -> List.tl args);
-      ( "kind-mismatch",
-        fun args ->
-          List.map
-            (fun (n, a) ->
-              match a with
-              | Eval.Array _ -> n, Eval.Scalar (Value.Int 0)
-              | other -> n, other)
-            args );
-    ]
-  in
-  List.iter
-    (fun (name, mangle) ->
-      let ref_err =
-        error_message
-          (fun args -> ignore (Veval.run vk ~mode ~args))
-          (mangle (entry.Suite.args ~scale:1))
-      in
-      let fast_err =
-        error_message
-          (fun args -> ignore (Vfast.run compiled ~args))
-          (mangle (entry.Suite.args ~scale:1))
-      in
-      check_bool (name ^ ": reference faulted") true (ref_err <> None);
-      Alcotest.(check (option string)) (name ^ ": same message") ref_err
-        fast_err)
-    cases;
-  (* Argument order must not matter (assoc lookup, like the reference). *)
-  let fast_args = List.rev (entry.Suite.args ~scale:1) in
-  let ref_args = copy_args fast_args in
-  ignore (Veval.run vk ~mode ~args:ref_args);
-  ignore (Vfast.run compiled ~args:fast_args);
-  check_args_bit_equal "reversed args" ref_args fast_args
-
-let vfast_corrupt_case () =
-  (* A corrupted slot body must produce output the reference would not —
-     the detectability contract the differential oracle relies on. *)
-  let entry = Suite.find "saxpy_fp" in
-  let vk = bytecode entry in
-  let mode = Veval.Vector 16 in
-  let bad = Vfast.corrupt (Vfast.compile vk ~mode) in
-  let fast_args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args fast_args in
-  ignore (Veval.run vk ~mode ~args:ref_args);
-  ignore (Vfast.run bad ~args:fast_args);
-  let differs =
-    List.exists2
-      (fun (_, b1) (_, b2) -> not (Buffer_.equal b1 b2))
-      (arrays ref_args) (arrays fast_args)
-  in
-  check_bool "corrupted body differs from reference" true differs
 
 (* --- pre-resolved plans == reference simulator ------------------------- *)
 
@@ -267,10 +116,46 @@ let replay_domains_case () =
       check_string (Printf.sprintf "domains=%d report identical" d) base r)
     [ 2; 4 ]
 
-(* --- guarded interplay: corrupted slot bodies are quarantined ----------- *)
+let interp_chaos_cfg engine =
+  {
+    (replay_cfg engine) with
+    Service.cfg_hotness = 1000;
+    cfg_guard =
+      {
+        Tiered.g_oracle = Some Tiered.oracle_always;
+        g_faults =
+          Some
+            (Faults.make
+               {
+                 (Faults.chaos_spec ~seed:1) with
+                 Faults.f_corrupt_rate = 0.2;
+               });
+        g_retry_budget = 3;
+      };
+  }
 
-let corrupt_slot_quarantine_case () =
-  (* A corrupted slot-compiled interpreter body must be caught by the
+let interp_engine_free_case () =
+  (* The interpreter tier runs Veval whichever engine is selected, so a
+     guarded replay that never leaves it — corruption draws, oracle
+     checks and quarantines included — prints the same report and
+     counters on both engines. *)
+  let trace = Trace.standard ~length:150 ~n_targets:1 () in
+  let run engine =
+    let rp = Service.replay (interp_chaos_cfg engine) trace in
+    rp, Service.report_to_string rp ^ Stats.to_table rp.Service.rp_stats
+  in
+  let rp, r_fast = run Tiered.Fast in
+  let _, r_ref = run Tiered.Reference in
+  check_int "every event interpreted" rp.Service.rp_invocations
+    rp.Service.rp_interp_invocations;
+  check_bool "corruptions drawn" true (rp.Service.rp_corrupted_bodies > 0);
+  check_bool "corruptions quarantined" true (rp.Service.rp_quarantines > 0);
+  check_string "reference report == fast report" r_ref r_fast
+
+(* --- guarded interplay: corrupted interpreter results are quarantined --- *)
+
+let corrupt_interp_quarantine_case () =
+  (* A corrupted interpreter-tier result must be caught by the
      differential oracle and quarantined exactly like a corrupted JIT
      body: mismatch counted, kernel quarantined, and the caller handed
      the reference answer. *)
@@ -289,7 +174,7 @@ let corrupt_slot_quarantine_case () =
   in
   let tiered =
     Tiered.create ~stats:st ~guard ~engine:Tiered.Fast ~cache
-      ~hotness_threshold:1000 ()
+      ~hotness_threshold:2 ()
   in
   let fast_args = entry.Suite.args ~scale:1 in
   let ref_args = copy_args fast_args in
@@ -302,40 +187,97 @@ let corrupt_slot_quarantine_case () =
     (List.exists
        (fun (s : Tiered.kstate) -> s.Tiered.ks_quarantined)
        (Tiered.states tiered));
-  check_args_bit_equal "caller got the reference answer" ref_args fast_args
+  check_args_bit_equal "caller got the reference answer" ref_args fast_args;
+  (* Quarantined, the kernel runs unguarded and stays interpreted past
+     the hotness threshold: no further draw, check or promotion. *)
+  for i = 1 to 4 do
+    let args = entry.Suite.args ~scale:1 in
+    ignore (Tiered.invoke tiered ~target ~profile:Profile.gcc4cli vk ~args);
+    check_args_bit_equal (Printf.sprintf "quarantined run %d" i) ref_args args
+  done;
+  check_int "no further corruption" 1
+    (Stats.counter st "faults.corrupted_bodies");
+  check_int "no further oracle check" 1 (Stats.counter st "oracle.checks");
+  check_int "never promoted" 0 (Stats.counter st "tier.promotions")
 
-let slot_cache_counter_case () =
-  (* One kernel invoked repeatedly in the interpreter tier compiles its
-     slot body once and reuses it on every later invocation. *)
-  let entry = Suite.find "sfir_fp" in
-  let vk = bytecode entry in
-  let target = Vapor_targets.Sse.target in
+
+(* --- guarded interpreter tier on every kernel and target ---------------- *)
+
+(* One guarded interpreter-tier invocation of [vk] on [target] with the
+   oracle checking every run; returns the tier's stats, its kernel states
+   and the caller's arguments after the call. *)
+let guarded_interp_invoke ~corrupt_rate (entry : Suite.entry) vk
+    (target : Target.t) =
   let st = Stats.create () in
   let cache = Code_cache.create ~stats:st () in
-  let tiered = Tiered.create ~stats:st ~cache ~hotness_threshold:1000 () in
-  for _ = 1 to 5 do
-    ignore
-      (Tiered.invoke tiered ~target ~profile:Profile.gcc4cli vk
-         ~args:(entry.Suite.args ~scale:1))
-  done;
-  check_int "one slot compilation" 1 (Tiered.slot_compiles tiered);
-  check_int "four slot hits" 4 (Tiered.slot_hits tiered)
+  let guard =
+    {
+      Tiered.g_oracle = Some Tiered.oracle_always;
+      g_faults =
+        Some
+          (Faults.make
+             { Faults.default_spec with Faults.f_corrupt_rate = corrupt_rate });
+      g_retry_budget = 3;
+    }
+  in
+  let tiered =
+    Tiered.create ~stats:st ~guard ~cache ~hotness_threshold:1000 ()
+  in
+  let args = entry.Suite.args ~scale:1 in
+  ignore (Tiered.invoke tiered ~target ~profile:Profile.gcc4cli vk ~args);
+  st, Tiered.states tiered, args
+
+(* Every kernel in a vector (sse) and the scalarized (scalar) interpreter
+   mode, with its reference Veval answer in that mode. *)
+let for_suite_and_modes f =
+  List.iter
+    (fun (entry : Suite.entry) ->
+      let vk = bytecode entry in
+      List.iter
+        (fun (target : Target.t) ->
+          let ref_args = entry.Suite.args ~scale:1 in
+          ignore (Veval.run vk ~mode:(veval_mode target) ~args:ref_args);
+          f (entry.Suite.name ^ "/" ^ target.Target.name) entry vk target
+            ref_args)
+        [ Vapor_targets.Sse.target; Vapor_targets.Scalar_target.find "scalar" ])
+    Suite.all
+
+let interp_sweep_case () =
+  (* A clean guarded run delivers the reference answer bit-for-bit and
+     passes the oracle: no false mismatch, nothing quarantined. *)
+  for_suite_and_modes (fun ctx entry vk target ref_args ->
+      let st, states, args =
+        guarded_interp_invoke ~corrupt_rate:0.0 entry vk target
+      in
+      check_int (ctx ^ ": oracle checks") 1 (Stats.counter st "oracle.checks");
+      check_int (ctx ^ ": mismatches") 0 (Stats.counter st "oracle.mismatches");
+      check_bool (ctx ^ ": not quarantined") false
+        (List.exists
+           (fun (s : Tiered.kstate) -> s.Tiered.ks_quarantined)
+           states);
+      check_args_bit_equal ctx ref_args args)
+
+let corrupt_sweep_case () =
+  (* The detectability contract the oracle relies on: a perturbed
+     interpreter result never matches the reference, so it is always
+     counted, quarantined, and replaced by the reference answer before
+     the caller sees it. *)
+  for_suite_and_modes (fun ctx entry vk target ref_args ->
+      let st, states, args =
+        guarded_interp_invoke ~corrupt_rate:1.0 entry vk target
+      in
+      check_int (ctx ^ ": corrupted") 1
+        (Stats.counter st "faults.corrupted_bodies");
+      check_int (ctx ^ ": mismatches") 1 (Stats.counter st "oracle.mismatches");
+      check_bool (ctx ^ ": quarantined") true
+        (List.exists
+           (fun (s : Tiered.kstate) -> s.Tiered.ks_quarantined)
+           states);
+      check_args_bit_equal ctx ref_args args)
 
 let () =
   Alcotest.run "fastpath"
     [
-      ( "vfast",
-        [
-          Alcotest.test_case "suite x targets x modes bit-equal" `Quick
-            vfast_sweep_case;
-          Alcotest.test_case "fallback branches bit-equal" `Quick
-            vfast_guard_false_case;
-          Alcotest.test_case "compiled body reusable" `Quick vfast_reuse_case;
-          Alcotest.test_case "faults identical to reference" `Quick
-            vfast_error_equiv_case;
-          Alcotest.test_case "corrupt body detectable" `Quick
-            vfast_corrupt_case;
-        ] );
       ( "engine",
         [
           Alcotest.test_case "plans match reference simulator" `Quick
@@ -344,9 +286,16 @@ let () =
             replay_engine_equiv_case;
           Alcotest.test_case "domains 1/2/4 reports identical" `Quick
             replay_domains_case;
-          Alcotest.test_case "corrupt slot body quarantined" `Quick
-            corrupt_slot_quarantine_case;
-          Alcotest.test_case "slot bodies compiled once" `Quick
-            slot_cache_counter_case;
+          Alcotest.test_case "corrupt interpreter result quarantined" `Quick
+            corrupt_interp_quarantine_case;
+          Alcotest.test_case "interpreter tier engine-independent" `Quick
+            interp_engine_free_case;
+        ] );
+      ( "interp",
+        [
+          Alcotest.test_case "suite x modes match reference" `Quick
+            interp_sweep_case;
+          Alcotest.test_case "suite x modes corruption caught" `Quick
+            corrupt_sweep_case;
         ] );
     ]

@@ -351,6 +351,69 @@ let chaos_replay_case () =
   check_int "deterministic oracle checks" rp.Service.rp_oracle_checks
     rp2.Service.rp_oracle_checks
 
+(* --- goldens: reports the interpreter tier decides --------------------- *)
+
+(* MD5 of a replay's report and counter table — the bytes `vaporc
+   chaos-replay` / `serve-replay` print between their header and verdict
+   lines for the same configuration.  Each configuration runs the
+   interpreter tier: CI's chaos replay (corruption draws, oracle checks
+   and quarantines on both tiers, a SIMD drop at event 200), the same
+   chaos at hotness 1000 (every event interpreted under the guard), and
+   unguarded interpreter-only replays in vector (sse) and scalarized
+   (scalar) mode. *)
+let report_md5 rp =
+  Stdlib.Digest.to_hex
+    (Stdlib.Digest.string
+       (Service.report_to_string rp ^ Stats.to_table rp.Service.rp_stats))
+
+let report_goldens =
+  let scalar = Vapor_targets.Scalar_target.find "scalar" in
+  let chaos ~seed ~hotness ~drop_simd =
+    {
+      (chaos_config ~seed) with
+      Service.cfg_profile = Profile.gcc4cli;
+      cfg_hotness = hotness;
+      cfg_drop_simd = (if drop_simd then Some (200, scalar) else None);
+    }
+  in
+  let interp_only target =
+    {
+      (Service.default_config ~targets:[ target ]) with
+      Service.cfg_profile = Profile.gcc4cli;
+      cfg_hotness = 1000;
+    }
+  in
+  let ci_chaos seed golden =
+    ( Printf.sprintf "chaos-replay --seed %d -t sse --drop-simd-at 200" seed,
+      chaos ~seed ~hotness:3 ~drop_simd:true,
+      seed,
+      golden )
+  in
+  [
+    ci_chaos 1 "3c904e51d993e906bbbd1b8eae335b53";
+    ci_chaos 2 "39bae2553b8d641d0adc0108b1c1e409";
+    ci_chaos 3 "16ceb46056fb3b14b69f47d1821ba936";
+    ( "chaos-replay --seed 1 -t sse --hotness 1000",
+      chaos ~seed:1 ~hotness:1000 ~drop_simd:false,
+      1,
+      "91dfd65f444fa5898f950f31ceaa69c2" );
+    ( "serve-replay -t sse --hotness 1000",
+      interp_only sse,
+      42,
+      "f2a0438befe5254a983f3ca5fa56cedc" );
+    ( "serve-replay -t scalar --hotness 1000",
+      interp_only scalar,
+      42,
+      "4acf681bc824c4dd8a7af1d1bcc03351" );
+  ]
+
+let report_goldens_case () =
+  List.iter
+    (fun (name, cfg, seed, golden) ->
+      let trace = Trace.standard ~seed ~length:400 ~n_targets:1 () in
+      Alcotest.(check string) name golden (report_md5 (Service.replay cfg trace)))
+    report_goldens
+
 let unguarded_counters_silent_case () =
   (* An unguarded replay must report zero guarded-execution activity —
      the gate that keeps healthy-path reports byte-identical. *)
@@ -403,5 +466,7 @@ let () =
             chaos_replay_case;
           Alcotest.test_case "unguarded replay is silent" `Quick
             unguarded_counters_silent_case;
+          Alcotest.test_case "interpreter-tier report goldens" `Quick
+            report_goldens_case;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the observability layer: metrics-registry pooling laws
    (QCheck), the disabled tracer's zero-overhead contract, deterministic
-   trace identity across domain counts, export formats, and JIT cost
-   report sanity. *)
+   trace identity across domain counts, export formats, the stage clock,
+   and JIT cost report sanity. *)
 
 module Stats = Vapor_runtime.Stats
 module Tracer = Vapor_obs.Tracer
@@ -186,8 +186,8 @@ let export_formats_case () =
     (contains "# TYPE vapor_cache_hits counter" prom);
   check_bool "prom has the cache.bytes gauge" true
     (contains "# TYPE vapor_cache_bytes gauge" prom);
-  check_bool "prom has the slot hit-rate gauge" true
-    (contains "vapor_slot_hit_rate " prom);
+  check_bool "prom has the real-compile gauge" true
+    (contains "vapor_jit_real_compiles " prom);
   (* JSON: the three sections. *)
   check_bool "json has counters" true (contains "\"counters\":" json);
   check_bool "json has gauges" true (contains "\"gauges\":" json);
@@ -195,10 +195,22 @@ let export_formats_case () =
   (* Byte-identity contract: gauges never appear in the text table. *)
   check_bool "table excludes gauges" false (contains "cache.bytes" table)
 
+let report_json_trace_case () =
+  (* The report's trace description is escaped exactly once. *)
+  let pool = Service.pool_create (replay_cfg ()) ~kernels:[ "saxpy_fp" ] in
+  let rp =
+    Service.pool_report pool ~trace_desc:"a \"q\" \\ b" ~records:[]
+  in
+  let line =
+    List.find
+      (fun l -> contains "\"trace\":" l)
+      (String.split_on_char '\n' (Service.report_to_json rp))
+  in
+  check_string "trace field" {|  "trace": "a \"q\" \\ b",|} line
+
 let gauge_pooling_case () =
-  (* Sharded replay must pool count-like gauges additively and recompute
-     the hit-rate ratio after the merge; the merged gauge set must match
-     a single-domain run of the same trace. *)
+  (* Sharded replay must pool count-like gauges additively; the merged
+     gauge set must match a single-domain run of the same trace. *)
   let trace = replay_trace () in
   let cfg = replay_cfg () in
   let run domains =
@@ -211,8 +223,28 @@ let gauge_pooling_case () =
     (fun g ->
       let v st = Option.value ~default:nan (Stats.gauge st g) in
       Alcotest.(check (float 1e-9)) (g ^ " pools across domains") (v d1) (v d4))
-    [ "cache.bytes"; "cache.entries"; "slot.compiles"; "slot.hits";
-      "slot.hit_rate"; "tier.quarantined_kernels" ]
+    [ "cache.bytes"; "cache.entries"; "jit.real_compiles";
+      "tier.quarantined_kernels" ]
+
+(* --- the stage and span clock ------------------------------------------ *)
+
+let clock_resolution_case () =
+  (* Over 10^5 consecutive reads the clock never steps backwards and
+     resolves steps below 256 ns — finer than a float of epoch
+     nanoseconds can (adjacent doubles near 1.8e18 are 256 ns apart). *)
+  let prev = ref (Vapor_obs.Clock.now_ns ()) in
+  let backwards = ref 0 and min_step = ref infinity in
+  for _ = 1 to 100_000 do
+    let t = Vapor_obs.Clock.now_ns () in
+    let d = t -. !prev in
+    if d < 0.0 then incr backwards
+    else if d > 0.0 && d < !min_step then min_step := d;
+    prev := t
+  done;
+  check_int "no negative step" 0 !backwards;
+  check_bool
+    (Printf.sprintf "smallest positive step %.0f ns is below 256 ns" !min_step)
+    true (!min_step < 256.0)
 
 (* --- jit-report sanity -------------------------------------------------- *)
 
@@ -278,6 +310,13 @@ let () =
             export_formats_case;
           Alcotest.test_case "gauges pool across domains" `Quick
             gauge_pooling_case;
+          Alcotest.test_case "report JSON escapes the trace once" `Quick
+            report_json_trace_case;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "monotonic, sub-256 ns steps" `Quick
+            clock_resolution_case;
         ] );
       ( "jit-report",
         [ Alcotest.test_case "row sanity" `Quick jit_report_rows_case ] );

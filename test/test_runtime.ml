@@ -372,7 +372,7 @@ let service_deterministic_case () =
 let service_rejuvenation_case () =
   let trace = Trace.standard ~length:200 ~n_targets:1 () in
   let cfg =
-    { (replay_cfg [ sse ]) with Service.cfg_rejuvenate = Some (100, sse, avx) }
+    { (replay_cfg [ sse ]) with Service.cfg_retargets = [ 100, sse, avx ] }
   in
   let rp = Service.replay cfg trace in
   check_bool "entries were rejuvenated" true (rp.Service.rp_rejuvenations > 0);

@@ -293,6 +293,42 @@ let best_of n f =
 
 let best_of_3 f = best_of 3 f
 
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* A paired A/B of one workload with a feature off and on: [pairs]
+   alternating (off, on) samples, each after a settling full GC, so both
+   halves of a pair see the machine in the same state.  A ratio of two
+   separate best-of-N minima compares two different moments of a shared
+   machine; the median of the per-pair ratios does not. *)
+type paired = {
+  pr_pairs : int;
+  pr_off_s : float; (* median seconds per run, off *)
+  pr_on_s : float; (* median seconds per run, on *)
+  pr_ratio : float; (* median over the pairs of on / off *)
+  pr_minima_ratio : float; (* min on / min off, the separate-minima reading *)
+}
+
+let paired ?(pairs = 9) off on =
+  let offs = Array.make pairs 0.0 and ons = Array.make pairs 0.0 in
+  for i = 0 to pairs - 1 do
+    Gc.full_major ();
+    offs.(i) <- time_s off;
+    Gc.full_major ();
+    ons.(i) <- time_s on
+  done;
+  let lowest a = Array.fold_left Float.min Float.infinity a in
+  {
+    pr_pairs = pairs;
+    pr_off_s = median offs;
+    pr_on_s = median ons;
+    pr_ratio = median (Array.init pairs (fun i -> ons.(i) /. offs.(i)));
+    pr_minima_ratio = lowest ons /. lowest offs;
+  }
+
 let micro_iters = 2_000
 
 (* Per-run ns of the machine simulator: Simulator.run (per-run label
@@ -547,8 +583,7 @@ let bench_serve () =
 type batch_bench = {
   tb_events : int;
   tb_streams : int;
-  tb_off_s : float;
-  tb_on_s : float;
+  tb_times : paired; (* off = unbatched, on = batched *)
   tb_mean_batch : float;
   tb_identical : bool;
 }
@@ -567,15 +602,17 @@ let bench_batch () =
   in
   let wl = Workload.of_trace ~streams:8 trace in
   let off_rep = ref (Serve.run (mk 1) wl) in
-  let off_s = best_of_3 (fun () -> off_rep := Serve.run (mk 1) wl) in
   let on_rep = ref (Serve.run (mk 32) wl) in
-  let on_s = best_of_3 (fun () -> on_rep := Serve.run (mk 32) wl) in
+  let times =
+    paired
+      (fun () -> off_rep := Serve.run (mk 1) wl)
+      (fun () -> on_rep := Serve.run (mk 32) wl)
+  in
   let embedded r = Service.report_to_string r.Serve.sr_service in
   {
     tb_events = Workload.total wl;
     tb_streams = Workload.streams wl;
-    tb_off_s = off_s;
-    tb_on_s = on_s;
+    tb_times = times;
     tb_mean_batch =
       (if !on_rep.Serve.sr_batches = 0 then 0.0
        else
@@ -588,14 +625,14 @@ let bench_batch () =
    recovery machinery off, with write-ahead journaling + periodic
    checkpoints on (--checkpoint-every 4096), and with a seeded kill
    schedule spliced in.  The figures of merit are the journaling
-   overhead ratio (gated in CI at <= 10%), the wall-clock recovery cost
-   per crash, and byte-identity of the recovered drain report with the
-   crash-free run.                                                        *)
+   overhead ratio (the median over paired runs, gated in CI at <= 10%),
+   the wall-clock recovery cost per crash, and byte-identity of the
+   recovered drain report with the crash-free run.                        *)
 
 type recovery_bench = {
   rb_events : int;
-  rb_off_s : float;  (* recovery machinery off *)
-  rb_journal_s : float;  (* on-disk journal + checkpoints on *)
+  (* off = recovery machinery off, on = on-disk journal + checkpoints *)
+  rb_journal : paired;
   rb_crashes : int;
   rb_recovery_us : float;  (* mean wall-clock per recovered crash *)
   rb_identical : bool;  (* crash run == crash-free, byte-for-byte *)
@@ -615,10 +652,11 @@ let bench_recovery () =
       sv_crash_at = crash_at;
     }
   in
-  let off_s = best_of_3 (fun () -> ignore (Serve.run off_cfg wl)) in
   let dir = Filename.temp_dir "vapor_bench_journal" ".tmp" in
-  let on_s =
-    best_of_3 (fun () -> ignore (Serve.run (mk ~journal_dir:dir ()) wl))
+  let journal =
+    paired
+      (fun () -> ignore (Serve.run off_cfg wl))
+      (fun () -> ignore (Serve.run (mk ~journal_dir:dir ()) wl))
   in
   (* The kill schedule spreads eight crashes across the run; the journal
      stays memory-only here so the measured delta is recovery work
@@ -633,8 +671,7 @@ let bench_recovery () =
   let crashes = !crash_rep.Serve.sr_crashes in
   {
     rb_events = Workload.total wl;
-    rb_off_s = off_s;
-    rb_journal_s = on_s;
+    rb_journal = journal;
     rb_crashes = crashes;
     rb_recovery_us =
       (if crashes = 0 then 0.0
@@ -901,13 +938,15 @@ let run_fastpath_bench ~json () =
     exit 1
   end;
   let tb = bench_batch () in
+  let tp = tb.tb_times in
   Printf.printf
     "  batched dispatch (%d events, %d streams): %.0f ev/s off -> %.0f \
-     ev/s on (%.2fx), mean batch %.2f, report %s\n%!"
+     ev/s on (%.2fx, median of %d pairs; %.2fx from separate minima), \
+     mean batch %.2f, report %s\n%!"
     tb.tb_events tb.tb_streams
-    (float_of_int tb.tb_events /. tb.tb_off_s)
-    (float_of_int tb.tb_events /. tb.tb_on_s)
-    (tb.tb_off_s /. tb.tb_on_s)
+    (float_of_int tb.tb_events /. tp.pr_off_s)
+    (float_of_int tb.tb_events /. tp.pr_on_s)
+    (1.0 /. tp.pr_ratio) tp.pr_pairs (1.0 /. tp.pr_minima_ratio)
     tb.tb_mean_batch
     (if tb.tb_identical then "identical" else "DIFFERS");
   if not tb.tb_identical then begin
@@ -916,13 +955,15 @@ let run_fastpath_bench ~json () =
     exit 1
   end;
   let rb = bench_recovery () in
+  let jp = rb.rb_journal in
   Printf.printf
     "  crash recovery (%d events): %.0f ev/s bare -> %.0f ev/s journaled \
-     (%.1f%% overhead), %d crashes recovered at %.0f us each, report %s\n%!"
+     (%.3fx, median of %d pairs; %.3fx from separate minima), %d crashes \
+     recovered at %.0f us each, report %s\n%!"
     rb.rb_events
-    (float_of_int rb.rb_events /. rb.rb_off_s)
-    (float_of_int rb.rb_events /. rb.rb_journal_s)
-    (100.0 *. ((rb.rb_journal_s /. rb.rb_off_s) -. 1.0))
+    (float_of_int rb.rb_events /. jp.pr_off_s)
+    (float_of_int rb.rb_events /. jp.pr_on_s)
+    jp.pr_ratio jp.pr_pairs jp.pr_minima_ratio
     rb.rb_crashes rb.rb_recovery_us
     (if rb.rb_identical then "identical" else "DIFFERS");
   if not rb.rb_identical then begin
@@ -1019,9 +1060,9 @@ let run_fastpath_bench ~json () =
        \"speedup\": %.2f, \"mean_batch_size\": %.2f, \
        \"report_identical\": %b},\n"
       tb.tb_events tb.tb_streams
-      (float_of_int tb.tb_events /. tb.tb_off_s)
-      (float_of_int tb.tb_events /. tb.tb_on_s)
-      (tb.tb_off_s /. tb.tb_on_s)
+      (float_of_int tb.tb_events /. tb.tb_times.pr_off_s)
+      (float_of_int tb.tb_events /. tb.tb_times.pr_on_s)
+      (1.0 /. tb.tb_times.pr_ratio)
       tb.tb_mean_batch tb.tb_identical;
     Printf.bprintf buf
       "  \"recovery\": {\"events\": %d, \"bare_events_per_s\": %.0f, \
@@ -1029,9 +1070,9 @@ let run_fastpath_bench ~json () =
        \"crashes\": %d, \"recovery_us_per_crash\": %.1f, \
        \"report_identical\": %b},\n"
       rb.rb_events
-      (float_of_int rb.rb_events /. rb.rb_off_s)
-      (float_of_int rb.rb_events /. rb.rb_journal_s)
-      (rb.rb_journal_s /. rb.rb_off_s)
+      (float_of_int rb.rb_events /. rb.rb_journal.pr_off_s)
+      (float_of_int rb.rb_events /. rb.rb_journal.pr_on_s)
+      rb.rb_journal.pr_ratio
       rb.rb_crashes rb.rb_recovery_us rb.rb_identical;
     Printf.bprintf buf
       "  \"oracle\": {\"unguarded_s\": %.4f, \"guarded_s\": %.4f, \

@@ -16,6 +16,18 @@ type vval =
   | VFloat of float array
   | VUndef
 
+(* A one-element float32 cell.  Storing a double into it and reading it
+   back rounds to f32 exactly as [Int32.float_of_bits (Int32.bits_of_float
+   x)] does, but with no C call: the element kind is static, so ocamlopt
+   compiles the store and the load to inline conversions. *)
+type f32_cell =
+  (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* The vector register file.  Storage register [i] is vector register [i]
+   for [i < n_vr], spill slot [i - n_vr] for the [n_slots] after them, and
+   one scratch register last.  Each owns lanes [i * vw, i * vw + vw) of
+   both [vi] and [vf], allocated once; its tag [vt.(i)] says which of the
+   two holds its value and how many lanes it has (see [int_tag]). *)
 type state = {
   target : Target.t;
   mutable layout : Layout.t; (* mutable so a prepared plan can reuse one
@@ -23,8 +35,13 @@ type state = {
   mutable mem : Bytes.t;
   gpr : int array;
   fpr : float array;
-  vr : vval array;
-  vspill : vval array; (* raw vector spill slots *)
+  vw : int; (* lanes per register *)
+  n_vr : int;
+  n_slots : int;
+  vi : int array;
+  vf : float array;
+  vt : int array;
+  f32 : f32_cell;
   mutable cycles : int;
   mutable executed : int;
 }
@@ -34,6 +51,41 @@ type result = {
   r_instructions : int;
 }
 
+(* Register tags: 0 is undefined; otherwise the lane count times four,
+   plus 1 for int lanes or 2 for float lanes. *)
+let undef_tag = 0
+let[@inline] int_tag n = (n lsl 2) lor 1
+let[@inline] float_tag n = (n lsl 2) lor 2
+let[@inline] tag_lanes t = t lsr 2
+
+(* Does tag [t] hold lanes of [tmin]'s class, at least as many? *)
+let[@inline] fits t tmin = t land 3 = tmin land 3 && t >= tmin
+
+(* Lanes per register: every result is at most [vs] one-byte lanes, or
+   the two lanes a pack makes when [vs] is narrower than its source. *)
+let lanes_per_reg (target : Target.t) = max 2 target.Target.vs
+
+let make_state (target : Target.t) layout mem (f : Mfun.t) =
+  let n_vr = max 1 f.Mfun.n_vr and n_slots = max 1 f.Mfun.n_vspill in
+  let vw = lanes_per_reg target in
+  let n = n_vr + n_slots + 1 in
+  {
+    target;
+    layout;
+    mem;
+    gpr = Array.make (max 1 f.Mfun.n_gpr) 0;
+    fpr = Array.make (max 1 f.Mfun.n_fpr) 0.0;
+    vw;
+    n_vr;
+    n_slots;
+    vi = Array.make (n * vw) 0;
+    vf = Array.make (n * vw) 0.0;
+    vt = Array.make n undef_tag;
+    f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1;
+    cycles = 0;
+    executed = 0;
+  }
+
 let lanes st ty = max 1 (st.target.Target.vs / Src_type.size_of ty)
 
 let reg_index (r : Minstr.reg) = r.Minstr.id
@@ -42,11 +94,53 @@ let get_gpr st r = st.gpr.(reg_index r)
 let set_gpr st r v = st.gpr.(reg_index r) <- v
 let get_fpr st r = st.fpr.(reg_index r)
 let set_fpr st r v = st.fpr.(reg_index r) <- v
+
+(* Storage index of vector register [r] and of spill slot [s]; out of
+   range, each raises what indexing a per-class array raises. *)
+let vreg st (r : Minstr.reg) =
+  let i = reg_index r in
+  if i < 0 || i >= st.n_vr then invalid_arg "index out of bounds";
+  i
+
+let vslot st s =
+  if s < 0 || s >= st.n_slots then invalid_arg "index out of bounds";
+  st.n_vr + s
+
+(* Storage register [i]'s value, materialized for [exec]. *)
+let read_vval st i =
+  let t = st.vt.(i) in
+  match t land 3 with
+  | 1 -> VInt (Array.sub st.vi (i * st.vw) (tag_lanes t))
+  | 2 -> VFloat (Array.sub st.vf (i * st.vw) (tag_lanes t))
+  | _ -> VUndef
+
+(* Copy [v]'s lanes into storage register [i] and tag it. *)
+let write_vval st i v =
+  let o = i * st.vw in
+  match v with
+  | VInt a ->
+    let n = Array.length a in
+    assert (n <= st.vw);
+    for l = 0 to n - 1 do
+      st.vi.(o + l) <- a.(l)
+    done;
+    st.vt.(i) <- int_tag n
+  | VFloat a ->
+    let n = Array.length a in
+    assert (n <= st.vw);
+    for l = 0 to n - 1 do
+      st.vf.(o + l) <- a.(l)
+    done;
+    st.vt.(i) <- float_tag n
+  | VUndef -> st.vt.(i) <- undef_tag
+
 let get_vr st r =
-  match st.vr.(reg_index r) with
-  | VUndef -> faultf "use of undefined vector register v%d" (reg_index r)
+  let i = vreg st r in
+  match read_vval st i with
+  | VUndef -> faultf "use of undefined vector register v%d" i
   | v -> v
-let set_vr st r v = st.vr.(reg_index r) <- v
+
+let set_vr st r v = write_vval st (vreg st r) v
 
 let get_scalar st ty r =
   if Src_type.is_float ty then Value.Float (get_fpr st r)
@@ -360,8 +454,10 @@ let rec exec st (i : Minstr.t) =
         Layout.write_value st.mem ty (ea + (l * esize)) (vval_get ty v l)
       end
     done
-  | Minstr.VSpill (slot, s) -> st.vspill.(slot) <- get_vr st s
-  | Minstr.VReload (d, slot) -> set_vr st d st.vspill.(slot)
+  | Minstr.VSpill (slot, s) ->
+    let v = get_vr st s in
+    write_vval st (vslot st slot) v
+  | Minstr.VReload (d, slot) -> set_vr st d (read_vval st (vslot st slot))
   | Minstr.Label _ | Minstr.Jmp _ | Minstr.Br _ ->
     assert false (* handled by the driver loop *)
   | Minstr.Lib inner -> exec st inner
@@ -378,19 +474,7 @@ let is_scalar_fp = function
 let run ?(fuel = 200_000_000) (target : Target.t) (layout : Layout.t)
     (mem : Bytes.t) (f : Mfun.t)
     ~(scalar_args : (string * Value.t) list) : result =
-  let st =
-    {
-      target;
-      layout;
-      mem;
-      gpr = Array.make (max 1 f.Mfun.n_gpr) 0;
-      fpr = Array.make (max 1 f.Mfun.n_fpr) 0.0;
-      vr = Array.make (max 1 f.Mfun.n_vr) VUndef;
-      vspill = Array.make (max 1 f.Mfun.n_vspill) VUndef;
-      cycles = 0;
-      executed = 0;
-    }
-  in
+  let st = make_state target layout mem f in
   (* Seed scalar parameters. *)
   List.iter
     (fun (name, sty, loc) ->
@@ -456,20 +540,26 @@ let run ?(fuel = 200_000_000) (target : Target.t) (layout : Layout.t)
 
    [prepare] does once, at JIT-compile time, everything [run] re-derives
    on every invocation: label -> pc resolution, per-pc cycle costs (with
-   the x87 blending), parameter-binding closures, and symbol interning
-   for effective addresses.  Every instruction then compiles to a closure
-   over the raw register arrays, but only the mix the workloads actually
-   run is specialized (docs/PERF.md §2 has the measured mix): scalar,
-   control and spill instructions directly, vector instructions through
-   the lane combinators below.  Everything else runs [exec] on the same
-   state, so a plan is cycle-, instruction-, fault- and bit-exact against
-   [run].  [run_plan] reuses one scratch state per plan — zero per-run
-   setup allocation. *)
+   the x87 blending) summed per basic block, parameter-binding closures,
+   symbol interning for effective addresses, and every vector register's
+   offset into the register file.  Every instruction then compiles to a
+   closure over the raw register arrays, but only the mix the workloads
+   actually run is specialized (docs/PERF.md §2 has the measured mix):
+   scalar, control, spill and move instructions directly, vector
+   instructions through the lane loops below, each writing its result in
+   place.  Everything else runs [exec] on the same state, so a plan is
+   cycle-, instruction-, fault- and bit-exact against [run].  [run_plan]
+   reuses one scratch state per plan, and an instruction that does not
+   run [exec] allocates nothing. *)
 
 type plan = {
   p_target : Target.t;
   p_mfun : Mfun.t;
   p_cost : int array; (* per-pc cycle cost, x87-blended *)
+  (* from each pc to the end of its basic block: instruction count and
+     summed cost *)
+  p_blen : int array;
+  p_bcost : int array;
   p_code : (state -> int) array; (* action; returns the next pc *)
   p_syms : string array; (* interned address symbols *)
   p_bases : int array; (* per-run resolved bases; min_int = unresolved *)
@@ -517,9 +607,14 @@ let[@inline] norm nm ns v =
   let x = v land nm in
   if x land ns <> 0 then x - nm - 1 else x
 
-(* [Src_type.normalize_float] at F32 ([n32]) or F64. *)
-let[@inline] round n32 x =
-  if n32 then Int32.float_of_bits (Int32.bits_of_float x) else x
+(* [Src_type.normalize_float] at F32 ([n32]) or F64, through the state's
+   rounding cell. *)
+let[@inline] round (c : f32_cell) n32 x =
+  if n32 then begin
+    Bigarray.Array1.unsafe_set c 0 x;
+    Bigarray.Array1.unsafe_get c 0
+  end
+  else x
 
 (* [Value.binop] at integer type [ty], before normalizing the result
    (comparisons yield 0/1, which every normalization leaves alone).  Ints
@@ -560,14 +655,14 @@ let int_unop (op : Op.unop) : (int -> int -> int) option =
    run [exec], which rejects them.  Unlike the int ops this is a [match]
    inlined into each loop, never a closure: through a closure every lane
    would box its operands and result. *)
-let[@inline] float_binop (op : Op.binop) n32 x y =
+let[@inline] float_binop c (op : Op.binop) n32 x y =
   match op with
-  | Op.Add -> round n32 (x +. y)
-  | Op.Sub -> round n32 (x -. y)
-  | Op.Mul -> round n32 (x *. y)
-  | Op.Div -> round n32 (x /. y)
-  | Op.Min -> round n32 (Float.min x y)
-  | Op.Max -> round n32 (Float.max x y)
+  | Op.Add -> round c n32 (x +. y)
+  | Op.Sub -> round c n32 (x -. y)
+  | Op.Mul -> round c n32 (x *. y)
+  | Op.Div -> round c n32 (x /. y)
+  | Op.Min -> round c n32 (Float.min x y)
+  | Op.Max -> round c n32 (Float.max x y)
   | Op.Eq -> if x = y then 1.0 else 0.0
   | Op.Ne -> if x <> y then 1.0 else 0.0
   | Op.Lt -> if x < y then 1.0 else 0.0
@@ -599,40 +694,68 @@ let[@inline] write_float n32 mem a x =
   if n32 then Bytes.set_int32_le mem a (Int32.bits_of_float x)
   else Bytes.set_int64_le mem a (Int64.bits_of_float x)
 
-(* The int lanewise loop (Vop, Vunop, Vshift, the widening products):
-   lane l is [f x y] for the normalized lanes x of [a] and y of [b],
-   normalized. *)
-let int_lanes m nm ns f a b =
-  let r = Array.make m 0 in
-  for l = 0 to m - 1 do
-    r.(l) <- norm nm ns (f (norm nm ns a.(l)) (norm nm ns b.(l)))
-  done;
-  r
+(* The lane loops below work on the register file [vi] or [vf] at
+   storage offsets resolved by [prepare] and write their result at [d]
+   in place. *)
 
-(* The int reduction: [f] folded left over the normalized lanes. *)
-let int_reduce m nm ns f a =
-  let acc = ref (norm nm ns a.(0)) in
+(* The int lanewise loop (Vop, Vunop, int Vcmp): lane l is [f x y] for
+   the normalized lanes x at [a] and y at [b], normalized.  Lane l of
+   [a] and [b] is read before lane l of [d] is written, so [d] may be
+   [a] or [b]. *)
+let int_lanes vi m nm ns f a b d =
+  for l = 0 to m - 1 do
+    vi.(d + l) <- norm nm ns (f (norm nm ns vi.(a + l)) (norm nm ns vi.(b + l)))
+  done
+
+(* The int reduction: [f] folded left over the normalized lanes at [a]. *)
+let int_reduce vi m nm ns f a =
+  let acc = ref (norm nm ns vi.(a)) in
   for l = 1 to m - 1 do
-    acc := norm nm ns (f !acc (norm nm ns a.(l)))
+    acc := norm nm ns (f !acc (norm nm ns vi.(a + l)))
   done;
   !acc
 
-(* The gather loop (Vunpack, Vpack, Vcvt, Vextract, Vinsert, the widening
-   products): lane l of [r] is lane [si.(l)] of source [ps.(sj.(l))],
-   normalized at the source type [(nm, ns)] and renormalized to the
-   destination type [(dm, ds)], exactly as [Value.convert] narrows or
-   widens.  Returns [r]. *)
-let gather (nm, ns) (dm, ds) (sj, si) (ps : int array array) r =
-  for l = 0 to Array.length sj - 1 do
-    r.(l) <- norm dm ds (norm nm ns ps.(sj.(l)).(si.(l)))
-  done;
-  r
+(* The gather loop (Vunpack, Vpack, int Vcvt, Vextract, Vinterleave,
+   Vperm): lane l is the register-file lane [src.(l)], normalized at the
+   source type [(nm, ns)] and renormalized to the destination type
+   [(dm, ds)], exactly as [Value.convert] narrows or widens.  A gather
+   may read a lane it has already overwritten; [prepare] sends those
+   through scratch. *)
+let gather vi (nm, ns) (dm, ds) src d =
+  for l = 0 to Array.length src - 1 do
+    vi.(d + l) <- norm dm ds (norm nm ns vi.(src.(l)))
+  done
+
+(* [gather] for float lanes, rounded at the lane type ([n32]). *)
+let gather_float vf c n32 src d =
+  for l = 0 to Array.length src - 1 do
+    vf.(d + l) <- round c n32 vf.(src.(l))
+  done
 
 (* Gather map for the [count] lanes [first + l * stride] of the
-   concatenated [m]-lane sources numbered from [src]. *)
+   concatenated [m]-lane sources numbered from [src]: per lane, the
+   source number and its lane. *)
 let lane_map ?(src = 0) ?(first = 0) ?(stride = 1) m count =
   let p l = first + (l * stride) in
   Array.init count (fun l -> src + (p l / m)), Array.init count (fun l -> p l mod m)
+
+(* Copy storage register [s] (value and tag) to [d]. *)
+let copy_reg st s d =
+  let t = st.vt.(s) in
+  let os = s * st.vw and od = d * st.vw in
+  (match t land 3 with
+  | 1 ->
+    let vi = st.vi in
+    for l = 0 to tag_lanes t - 1 do
+      vi.(od + l) <- vi.(os + l)
+    done
+  | 2 ->
+    let vf = st.vf in
+    for l = 0 to tag_lanes t - 1 do
+      vf.(od + l) <- vf.(os + l)
+    done
+  | _ -> ());
+  st.vt.(d) <- t
 
 let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   let stage_t0 = Vapor_obs.Stage.start () in
@@ -671,6 +794,35 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         else Minstr.cost target ins)
       instrs
   in
+  (* Basic blocks: leaders are pc 0, every label and every pc after a
+     jump or branch.  Each pc records the instructions and cycles left in
+     its block, so [run_plan] charges a block at once and can still enter
+     one mid-way when it steps against the fuel limit. *)
+  let n = Array.length instrs in
+  let p_blen = Array.make n 0 and p_bcost = Array.make n 0 in
+  for pc = n - 1 downto 0 do
+    let ends =
+      pc = n - 1
+      || (match instrs.(pc) with
+         | Minstr.Jmp _ | Minstr.Br _ -> true
+         | _ -> false)
+      || match instrs.(pc + 1) with
+         | Minstr.Label _ -> true
+         | _ -> false
+    in
+    if ends then begin
+      p_blen.(pc) <- 1;
+      p_bcost.(pc) <- p_cost.(pc)
+    end
+    else begin
+      p_blen.(pc) <- 1 + p_blen.(pc + 1);
+      p_bcost.(pc) <- p_cost.(pc) + p_bcost.(pc + 1)
+    end
+  done;
+  let[@inline] sym_base st k sym =
+    let b = p_bases.(k) in
+    if b = min_int then Layout.base_of st.layout sym else b
+  in
   (* Effective-address closures over the interned base table. *)
   let compile_addr (a : Minstr.addr) : state -> int =
     let disp = a.Minstr.disp in
@@ -690,10 +842,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
     else begin
       let k = intern a.Minstr.sym in
       let sym = a.Minstr.sym in
-      let sym_fn st =
-        let b = p_bases.(k) in
-        if b = min_int then Layout.base_of st.layout sym else b
-      in
+      let sym_fn st = sym_base st k sym in
       match a.Minstr.base, a.Minstr.index with
       | None, None -> fun st -> sym_fn st + disp
       | Some b, None ->
@@ -707,47 +856,123 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         fun st -> sym_fn st + st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
     end
   in
+  (* A symbol plus a displacement — the stack slots the mono profile
+     spills every scalar through — is most memory operands: the i64 and
+     f64 loads and stores below read such an address inline instead of
+     calling an address closure. *)
+  let spill_addr (a : Minstr.addr) =
+    match a.Minstr.base, a.Minstr.index with
+    | None, None when a.Minstr.sym <> "" ->
+      Some (intern a.Minstr.sym, a.Minstr.sym, a.Minstr.disp)
+    | _ -> None
+  in
   let vs = target.Target.vs in
   let lanes_of ty = max 1 (vs / Src_type.size_of ty) in
   let explicit_realign = target.Target.explicit_realign in
+  (* The register file [make_state] builds for this plan: vector register
+     r's lanes start at [r * vw], spill slot s is storage register
+     [n_vr + s], and the scratch register comes last. *)
+  let n_vr = max 1 f.Mfun.n_vr and n_slots = max 1 f.Mfun.n_vspill in
+  let vw = lanes_per_reg target in
+  let scratch = (n_vr + n_slots) * vw in
+  (* Instructions naming a vector register or spill slot outside the file
+     run [exec], which raises what indexing a per-class array raised. *)
+  let outside = Array.make n false and at = ref 0 in
+  let check (r : Minstr.reg) =
+    if r.Minstr.cls = Minstr.VR && (r.Minstr.id < 0 || r.Minstr.id >= n_vr)
+    then outside.(!at) <- true
+  in
+  Array.iteri
+    (fun pc i ->
+      at := pc;
+      Minstr.iter_regs ~use:check ~def:check i;
+      match i with
+      | Minstr.VSpill (s, _) | Minstr.VReload (_, s) ->
+        if s < 0 || s >= n_slots then outside.(pc) <- true
+      | _ -> ())
+    instrs;
+  (* Does a loop writing lane l at [d] after reading lane [src.(l)] read
+     a lane it has already written? *)
+  let overwrites d src =
+    let hit = ref false in
+    Array.iteri (fun l x -> if x >= d && x < d + l then hit := true) src;
+    !hit
+  in
   (* Every action reproduces exec's semantics (normalization, raw register
      reads, fault messages) expression for expression.  [next] is pc+1. *)
   let rec compile_action pc (ins : Minstr.t) : state -> int =
     let next = pc + 1 in
     let fallback st = exec st ins; next in
-    (* The int-lane combinator: [body st ps] runs on [ps], the lanes of the
-       vector registers [srcs].  Their shape is checked here, once: a
-       register holding anything but int lanes (undefined, float) runs
-       [exec] instead, so the fault or result is the reference's own. *)
-    let ints srcs (body : state -> int array array -> unit) =
-      (* one and two sources, the common case, skip the array fill *)
-      match List.map reg_index srcs with
-      | [ a ] ->
+    (* The shape combinator: [body st] runs when each vector register of
+       [srcs] fits its paired minimal tag — lanes of that class, at least
+       that many.  Any other shape (undefined, the other class, too few
+       lanes) runs [exec] instead, so the fault or result is the
+       reference's own. *)
+    let shaped srcs (body : state -> unit) =
+      match srcs with
+      | [ (a, ta) ] ->
         fun st ->
-          (match st.vr.(a) with
-          | VInt x -> body st [| x |]
-          | VFloat _ | VUndef -> exec st ins);
+          if fits st.vt.(a) ta then body st else exec st ins;
           next
-      | [ a; b ] ->
+      | [ (a, ta); (b, tb) ] ->
         fun st ->
-          (match st.vr.(a), st.vr.(b) with
-          | VInt x, VInt y -> body st [| x; y |]
-          | _, _ -> exec st ins);
+          if fits st.vt.(a) ta && fits st.vt.(b) tb then body st
+          else exec st ins;
           next
       | srcs ->
-        let srcs = Array.of_list srcs in
-        let k = Array.length srcs in
+        let regs = Array.of_list (List.map fst srcs)
+        and tmin = Array.of_list (List.map snd srcs) in
         fun st ->
-          let ps = Array.make k [||] in
           let ok = ref true in
-          for j = 0 to k - 1 do
-            match st.vr.(srcs.(j)) with
-            | VInt x -> ps.(j) <- x
-            | VFloat _ | VUndef -> ok := false
+          for j = 0 to Array.length regs - 1 do
+            if not (fits st.vt.(regs.(j)) tmin.(j)) then ok := false
           done;
-          if !ok then body st ps else exec st ins;
+          if !ok then body st else exec st ins;
           next
     in
+    (* A gather arm from the registers [regs] along [(sj, si)] at type
+       [ty] into [id] at type [into]: each source must hold the lanes the
+       map reads, and a result that would overwrite a lane still to be
+       read goes through scratch.  A map reaching past [regs] (an extract
+       whose lanes run beyond its parts) runs [exec], which faults. *)
+    let gather_arm regs (sj, si) ty into id =
+      let m = Array.length sj and k = Array.length regs in
+      if Array.exists (fun j -> j < 0 || j >= k) sj || Array.exists (fun i -> i < 0) si
+      then fallback
+      else begin
+      let src = Array.init m (fun l -> (regs.(sj.(l)) * vw) + si.(l)) in
+      let need = Array.make k 0 in
+      Array.iteri (fun l j -> need.(j) <- max need.(j) (si.(l) + 1)) sj;
+      let tag_of = if Src_type.is_float ty then float_tag else int_tag in
+      let srcs = List.mapi (fun j r -> r, tag_of need.(j)) (Array.to_list regs) in
+      let od = id * vw in
+      let through = overwrites od src in
+      let dst = if through then scratch else od in
+      if Src_type.is_float ty then
+        let n32 = into = Src_type.F32 and tag = float_tag m in
+        shaped srcs (fun st ->
+            let vf = st.vf in
+            gather_float vf st.f32 n32 src dst;
+            if through then
+              for l = 0 to m - 1 do
+                vf.(od + l) <- vf.(scratch + l)
+              done;
+            st.vt.(id) <- tag)
+      else
+        let from = norm_consts ty and into = norm_consts into in
+        let tag = int_tag m in
+        shaped srcs (fun st ->
+            let vi = st.vi in
+            gather vi from into src dst;
+            if through then
+              for l = 0 to m - 1 do
+                vi.(od + l) <- vi.(scratch + l)
+              done;
+            st.vt.(id) <- tag)
+      end
+    in
+    if outside.(pc) then fallback
+    else
     match ins with
     | Minstr.Label _ -> fun _ -> next
     | Minstr.Jmp l -> (
@@ -789,9 +1014,9 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       | Minstr.FPR -> fun st -> st.fpr.(id) <- st.fpr.(is); next
       | Minstr.VR ->
         fun st ->
-          (match st.vr.(is) with
-          | VUndef -> faultf "use of undefined vector register v%d" is
-          | v -> st.vr.(id) <- v);
+          if st.vt.(is) = undef_tag then
+            faultf "use of undefined vector register v%d" is;
+          copy_reg st is id;
           next)
     | Minstr.Lea (d, a) ->
       let id = reg_index d in
@@ -799,23 +1024,40 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       fun st -> st.gpr.(id) <- ea st; next
     | Minstr.Sop (op, ty, d, a, b) when not (Src_type.is_float ty) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let nm, ns = norm_consts ty and f = int_binop op ty in
-      fun st -> st.gpr.(id) <- norm nm ns (f st.gpr.(ia) st.gpr.(ib)); next
+      let nm, ns = norm_consts ty in
+      (* the address arithmetic the mono profile spills through is most of
+         the scalar ops: inline it rather than call [int_binop]'s closure *)
+      (match op with
+      | Op.Add -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) + st.gpr.(ib)); next
+      | Op.Sub -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) - st.gpr.(ib)); next
+      | Op.Mul -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) * st.gpr.(ib)); next
+      | _ ->
+        let f = int_binop op ty in
+        fun st -> st.gpr.(id) <- norm nm ns (f st.gpr.(ia) st.gpr.(ib)); next)
     | Minstr.Sop (op, ty, d, a, b) when not (Op.is_bitwise op) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       let n32 = ty = Src_type.F32 in
-      fun st -> st.fpr.(id) <- float_binop op n32 st.fpr.(ia) st.fpr.(ib); next
+      fun st ->
+        st.fpr.(id) <- float_binop st.f32 op n32 st.fpr.(ia) st.fpr.(ib);
+        next
     | Minstr.Sunop (op, ty, d, s) when not (Src_type.is_float ty) -> (
       let id = reg_index d and is = reg_index s in
       let nm, ns = norm_consts ty in
       match int_unop op with
       | Some g -> fun st -> st.gpr.(id) <- norm nm ns (g st.gpr.(is) 0); next
       | None -> fallback)
+    | Minstr.Sunop (op, ty, d, s) -> (
+      let id = reg_index d and is = reg_index s and n32 = ty = Src_type.F32 in
+      match op with
+      | Op.Neg -> fun st -> st.fpr.(id) <- round st.f32 n32 (-.st.fpr.(is)); next
+      | Op.Abs -> fun st -> st.fpr.(id) <- round st.f32 n32 (Float.abs st.fpr.(is)); next
+      | Op.Sqrt -> fun st -> st.fpr.(id) <- round st.f32 n32 (Float.sqrt st.fpr.(is)); next
+      | Op.Not -> fallback)
     | Minstr.Cvt (t1, t2, d, s) -> (
       let id = reg_index d and is = reg_index s in
+      let n32 = t2 = Src_type.F32 in
       match Src_type.is_float t1, Src_type.is_float t2 with
-      | true, true ->
-        fun st -> st.fpr.(id) <- Src_type.normalize_float t2 st.fpr.(is); next
+      | true, true -> fun st -> st.fpr.(id) <- round st.f32 n32 st.fpr.(is); next
       | true, false ->
         fun st ->
           st.gpr.(id) <-
@@ -824,72 +1066,100 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
           next
       | false, true ->
         fun st ->
-          st.fpr.(id) <- Src_type.normalize_float t2 (float_of_int st.gpr.(is));
+          st.fpr.(id) <- round st.f32 n32 (float_of_int st.gpr.(is));
           next
       | false, false ->
         fun st -> st.gpr.(id) <- Src_type.normalize_int t2 st.gpr.(is); next)
     | Minstr.Load (ty, d, a) -> (
       (* Unboxed reads, same byte formats as [Layout.read_value]; i64 (the
          spill width) is the hottest instruction of all. *)
-      let id = reg_index d and ea = compile_addr a in
-      let sz = Src_type.size_of ty in
-      match ty with
-      | Src_type.F32 | Src_type.F64 ->
-        let n32 = ty = Src_type.F32 in
+      let id = reg_index d and sz = Src_type.size_of ty in
+      match ty, spill_addr a with
+      | Src_type.I64, Some (k, sym, disp) ->
         fun st ->
-          let addr = ea st in
-          check_bounds st addr sz "load";
-          st.fpr.(id) <- read_float n32 st.mem addr;
-          next
-      | Src_type.I64 ->
-        fun st ->
-          let addr = ea st in
+          let addr = sym_base st k sym + disp in
           check_bounds st addr sz "load";
           st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
           next
-      | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
-      | Src_type.U32 ->
-        let nm, ns = norm_consts ty in
+      | Src_type.F64, Some (k, sym, disp) ->
         fun st ->
-          let addr = ea st in
+          let addr = sym_base st k sym + disp in
           check_bounds st addr sz "load";
-          st.gpr.(id) <- norm nm ns (read_int sz st.mem addr);
-          next)
+          st.fpr.(id) <- Int64.float_of_bits (Bytes.get_int64_le st.mem addr);
+          next
+      | _ -> (
+        let ea = compile_addr a in
+        match ty with
+        | Src_type.F32 | Src_type.F64 ->
+          let n32 = ty = Src_type.F32 in
+          fun st ->
+            let addr = ea st in
+            check_bounds st addr sz "load";
+            st.fpr.(id) <- read_float n32 st.mem addr;
+            next
+        | Src_type.I64 ->
+          fun st ->
+            let addr = ea st in
+            check_bounds st addr sz "load";
+            st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
+            next
+        | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16
+        | Src_type.I32 | Src_type.U32 ->
+          let nm, ns = norm_consts ty in
+          fun st ->
+            let addr = ea st in
+            check_bounds st addr sz "load";
+            st.gpr.(id) <- norm nm ns (read_int sz st.mem addr);
+            next))
     | Minstr.Store (ty, a, s) -> (
       (* Unboxed writes, same byte formats as [Layout.write_value]. *)
-      let is = reg_index s and ea = compile_addr a in
-      let sz = Src_type.size_of ty in
-      match ty with
-      | Src_type.F32 | Src_type.F64 ->
-        let n32 = ty = Src_type.F32 in
+      let is = reg_index s and sz = Src_type.size_of ty in
+      match ty, spill_addr a with
+      | Src_type.I64, Some (k, sym, disp) ->
         fun st ->
-          let addr = ea st in
-          check_bounds st addr sz "store";
-          write_float n32 st.mem addr st.fpr.(is);
-          next
-      | Src_type.I64 ->
-        fun st ->
-          let addr = ea st in
+          let addr = sym_base st k sym + disp in
           check_bounds st addr sz "store";
           Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
           next
-      | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
-      | Src_type.U32 ->
+      | Src_type.F64, Some (k, sym, disp) ->
         fun st ->
-          let addr = ea st in
+          let addr = sym_base st k sym + disp in
           check_bounds st addr sz "store";
-          write_int sz st.mem addr st.gpr.(is);
-          next)
+          Bytes.set_int64_le st.mem addr (Int64.bits_of_float st.fpr.(is));
+          next
+      | _ -> (
+        let ea = compile_addr a in
+        match ty with
+        | Src_type.F32 | Src_type.F64 ->
+          let n32 = ty = Src_type.F32 in
+          fun st ->
+            let addr = ea st in
+            check_bounds st addr sz "store";
+            write_float n32 st.mem addr st.fpr.(is);
+            next
+        | Src_type.I64 ->
+          fun st ->
+            let addr = ea st in
+            check_bounds st addr sz "store";
+            Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
+            next
+        | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16
+        | Src_type.I32 | Src_type.U32 ->
+          fun st ->
+            let addr = ea st in
+            check_bounds st addr sz "store";
+            write_int sz st.mem addr st.gpr.(is);
+            next))
     | Minstr.VSpill (slot, s) ->
-      let is = reg_index s in
+      let is = reg_index s and sd = n_vr + slot in
       fun st ->
-        (match st.vr.(is) with
-        | VUndef -> faultf "use of undefined vector register v%d" is
-        | v -> st.vspill.(slot) <- v);
+        if st.vt.(is) = undef_tag then
+          faultf "use of undefined vector register v%d" is;
+        copy_reg st is sd;
         next
     | Minstr.VReload (d, slot) ->
-      let id = reg_index d in
-      fun st -> st.vr.(id) <- st.vspill.(slot); next
+      let id = reg_index d and ss = n_vr + slot in
+      fun st -> copy_reg st ss id; next
     | Minstr.Lib inner -> (
       (* Lib executes its payload; control flow inside Lib is as illegal
          here as in exec (assert false), so route it through exec. *)
@@ -900,7 +1170,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let id = reg_index d in
       let ea_of = compile_addr a in
       let m = lanes_of ty and esize = Src_type.size_of ty in
-      let bytes = m * esize in
+      let bytes = m * esize and od = id * vw in
       let addr : state -> int =
         match k with
         | Minstr.VM_misaligned -> ea_of
@@ -914,58 +1184,60 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               else ea
       in
       (* One unboxed loop per lane width: vector loads are hot. *)
-      let read : Bytes.t -> int -> vval =
+      let read : state -> int -> unit =
         match ty with
         | Src_type.F32 ->
-          fun mem ea ->
-            let r = Array.make m 0.0 in
+          let tag = float_tag m in
+          fun st ea ->
+            let vf = st.vf and mem = st.mem in
             for l = 0 to m - 1 do
-              r.(l) <- Int32.float_of_bits (Bytes.get_int32_le mem (ea + (4 * l)))
+              vf.(od + l) <- Int32.float_of_bits (Bytes.get_int32_le mem (ea + (4 * l)))
             done;
-            VFloat r
+            st.vt.(id) <- tag
         | Src_type.F64 ->
-          fun mem ea ->
-            let r = Array.make m 0.0 in
+          let tag = float_tag m in
+          fun st ea ->
+            let vf = st.vf and mem = st.mem in
             for l = 0 to m - 1 do
-              r.(l) <- Int64.float_of_bits (Bytes.get_int64_le mem (ea + (8 * l)))
+              vf.(od + l) <- Int64.float_of_bits (Bytes.get_int64_le mem (ea + (8 * l)))
             done;
-            VFloat r
+            st.vt.(id) <- tag
         | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
         | Src_type.U32 | Src_type.I64 -> (
-          let nm, ns = norm_consts ty in
+          let nm, ns = norm_consts ty and tag = int_tag m in
           match esize with
           | 1 ->
-            fun mem ea ->
-              let r = Array.make m 0 in
+            fun st ea ->
+              let vi = st.vi and mem = st.mem in
               for l = 0 to m - 1 do
-                r.(l) <- norm nm ns (Bytes.get_uint8 mem (ea + l))
+                vi.(od + l) <- norm nm ns (Bytes.get_uint8 mem (ea + l))
               done;
-              VInt r
+              st.vt.(id) <- tag
           | 2 ->
-            fun mem ea ->
-              let r = Array.make m 0 in
+            fun st ea ->
+              let vi = st.vi and mem = st.mem in
               for l = 0 to m - 1 do
-                r.(l) <- norm nm ns (Bytes.get_uint16_le mem (ea + (2 * l)))
+                vi.(od + l) <- norm nm ns (Bytes.get_uint16_le mem (ea + (2 * l)))
               done;
-              VInt r
+              st.vt.(id) <- tag
           | _ ->
-            fun mem ea ->
-              let r = Array.make m 0 in
+            fun st ea ->
+              let vi = st.vi and mem = st.mem in
               for l = 0 to m - 1 do
-                r.(l) <- norm nm ns (read_int esize mem (ea + (esize * l)))
+                vi.(od + l) <- norm nm ns (read_int esize mem (ea + (esize * l)))
               done;
-              VInt r)
+              st.vt.(id) <- tag)
       in
       fun st ->
         let ea = addr st in
         check_bounds st ea bytes "vector load";
-        st.vr.(id) <- read st.mem ea;
+        read st ea;
         next
     | Minstr.VStore (k, ty, a, s) ->
       let is = reg_index s in
       let ea_of = compile_addr a in
       let m = lanes_of ty and esize = Src_type.size_of ty in
-      let bytes = m * esize in
+      let bytes = m * esize and os = is * vw in
       (* [vstore]'s checks in its order: alignment, bounds, lane count. *)
       let addr st lanes =
         let ea = ea_of st in
@@ -981,47 +1253,58 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       (match ty with
       | Src_type.F32 ->
         fun st ->
-          (match st.vr.(is) with
-          | VFloat xa ->
-            let ea = addr st (Array.length xa) in
+          let t = st.vt.(is) in
+          if t land 3 = 2 then begin
+            let ea = addr st (tag_lanes t) and vf = st.vf and mem = st.mem in
             for l = 0 to m - 1 do
-              Bytes.set_int32_le st.mem (ea + (4 * l)) (Int32.bits_of_float xa.(l))
+              Bytes.set_int32_le mem (ea + (4 * l)) (Int32.bits_of_float vf.(os + l))
             done
-          | VInt _ | VUndef -> exec st ins);
+          end
+          else exec st ins;
           next
       | Src_type.F64 ->
         fun st ->
-          (match st.vr.(is) with
-          | VFloat xa ->
-            let ea = addr st (Array.length xa) in
+          let t = st.vt.(is) in
+          if t land 3 = 2 then begin
+            let ea = addr st (tag_lanes t) and vf = st.vf and mem = st.mem in
             for l = 0 to m - 1 do
-              Bytes.set_int64_le st.mem (ea + (8 * l)) (Int64.bits_of_float xa.(l))
+              Bytes.set_int64_le mem (ea + (8 * l)) (Int64.bits_of_float vf.(os + l))
             done
-          | VInt _ | VUndef -> exec st ins);
+          end
+          else exec st ins;
           next
       | Src_type.I8 | Src_type.U8 | Src_type.I16 | Src_type.U16 | Src_type.I32
       | Src_type.U32 | Src_type.I64 ->
         fun st ->
-          (match st.vr.(is) with
-          | VInt xa ->
-            let ea = addr st (Array.length xa) in
+          let t = st.vt.(is) in
+          if t land 3 = 1 then begin
+            let ea = addr st (tag_lanes t) and vi = st.vi and mem = st.mem in
             for l = 0 to m - 1 do
-              write_int esize st.mem (ea + (l * esize)) xa.(l)
+              write_int esize mem (ea + (l * esize)) vi.(os + l)
             done
-          | VFloat _ | VUndef -> exec st ins);
+          end
+          else exec st ins;
           next)
     | Minstr.Vsplat (ty, d, s) ->
       let id = reg_index d and is = reg_index s in
-      let m = lanes_of ty in
+      let m = lanes_of ty and od = id * vw in
       if Src_type.is_float ty then
-        let n32 = ty = Src_type.F32 in
+        let n32 = ty = Src_type.F32 and tag = float_tag m in
         fun st ->
-          st.vr.(id) <- VFloat (Array.make m (round n32 st.fpr.(is)));
+          let x = round st.f32 n32 st.fpr.(is) and vf = st.vf in
+          for l = 0 to m - 1 do
+            vf.(od + l) <- x
+          done;
+          st.vt.(id) <- tag;
           next
       else
-        let nm, ns = norm_consts ty in
+        let nm, ns = norm_consts ty and tag = int_tag m in
         fun st ->
-          st.vr.(id) <- VInt (Array.make m (norm nm ns st.gpr.(is)));
+          let x = norm nm ns st.gpr.(is) and vi = st.vi in
+          for l = 0 to m - 1 do
+            vi.(od + l) <- x
+          done;
+          st.vt.(id) <- tag;
           next
     (* Float lanes: the lanewise loop, the reduction and Vinsert, each with
        its shape check and fallback written out; the op is chosen per lane
@@ -1030,158 +1313,327 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       when Src_type.is_float ty && not (Op.is_bitwise op) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       let m = lanes_of ty and n32 = ty = Src_type.F32 in
+      let od = id * vw and oa = ia * vw and ob = ib * vw and tag = float_tag m in
       fun st ->
-        (match st.vr.(ia), st.vr.(ib) with
-        | VFloat xa, VFloat xb ->
-          let r = Array.make m 0.0 in
+        if fits st.vt.(ia) tag && fits st.vt.(ib) tag then begin
+          let vf = st.vf and c = st.f32 in
           for l = 0 to m - 1 do
-            r.(l) <- float_binop op n32 (round n32 xa.(l)) (round n32 xb.(l))
+            vf.(od + l) <-
+              float_binop c op n32 (round c n32 vf.(oa + l)) (round c n32 vf.(ob + l))
           done;
-          st.vr.(id) <- VFloat r
-        | _, _ -> exec st ins);
+          st.vt.(id) <- tag
+        end
+        else exec st ins;
         next
     | Minstr.Vreduce (op, ty, d, s)
       when Src_type.is_float ty && not (Op.is_bitwise op) ->
       let id = reg_index d and is = reg_index s in
-      let m = lanes_of ty and n32 = ty = Src_type.F32 in
+      let m = lanes_of ty and n32 = ty = Src_type.F32 and os = reg_index s * vw in
+      let tmin = float_tag m in
       fun st ->
-        (match st.vr.(is) with
-        | VFloat xa ->
-          let acc = ref (round n32 xa.(0)) in
+        if fits st.vt.(is) tmin then begin
+          let vf = st.vf and c = st.f32 in
+          let acc = ref (round c n32 vf.(os)) in
           for l = 1 to m - 1 do
-            acc := float_binop op n32 !acc (round n32 xa.(l))
+            acc := float_binop c op n32 !acc (round c n32 vf.(os + l))
           done;
           st.fpr.(id) <- !acc
-        | VInt _ | VUndef -> exec st ins);
+        end
+        else exec st ins;
         next
     | Minstr.Vinsert (ty, d, v, n, s)
       when Src_type.is_float ty && n >= 0 && n < lanes_of ty ->
+      (* Lane n is never read from the base, as in [exec]. *)
       let id = reg_index d and iv = reg_index v and is = reg_index s in
       let m = lanes_of ty and n32 = ty = Src_type.F32 in
+      let need = if n = m - 1 then m - 1 else m in
+      let od = id * vw and ov = iv * vw and tag = float_tag m in
+      let tmin = float_tag need in
       fun st ->
-        (match st.vr.(iv) with
-        | VFloat xa ->
-          let r = Array.make m 0.0 in
+        if fits st.vt.(iv) tmin then begin
+          let vf = st.vf and c = st.f32 in
           for l = 0 to m - 1 do
-            r.(l) <- round n32 (if l = n then st.fpr.(is) else xa.(l))
+            vf.(od + l) <- round c n32 (if l = n then st.fpr.(is) else vf.(ov + l))
           done;
-          st.vr.(id) <- VFloat r
-        | VInt _ | VUndef -> exec st ins);
+          st.vt.(id) <- tag
+        end
+        else exec st ins;
         next
-    (* Int lanes, all through [ints]. *)
+    (* Int lanes, all through [shaped]. *)
     | Minstr.Vop (op, ty, d, a, b) when not (Src_type.is_float ty) ->
-      let id = reg_index d and m = lanes_of ty and nm, ns = norm_consts ty in
-      let f = int_binop op ty in
-      ints [ a; b ] (fun st ps ->
-          st.vr.(id) <- VInt (int_lanes m nm ns f ps.(0) ps.(1)))
+      let id = reg_index d and ia = reg_index a and ib = reg_index b in
+      let m = lanes_of ty and nm, ns = norm_consts ty in
+      let f = int_binop op ty and tag = int_tag m in
+      let od = id * vw and oa = ia * vw and ob = ib * vw in
+      shaped [ ia, tag; ib, tag ] (fun st ->
+          int_lanes st.vi m nm ns f oa ob od;
+          st.vt.(id) <- tag)
     | Minstr.Vunop (op, ty, d, s) when not (Src_type.is_float ty) -> (
-      let id = reg_index d and m = lanes_of ty and nm, ns = norm_consts ty in
+      let id = reg_index d and is = reg_index s in
+      let m = lanes_of ty and nm, ns = norm_consts ty in
+      let od = id * vw and os = is * vw and tag = int_tag m in
       match int_unop op with
       | Some f ->
-        ints [ s ] (fun st ps ->
-            st.vr.(id) <- VInt (int_lanes m nm ns f ps.(0) ps.(0)))
+        shaped [ is, tag ] (fun st ->
+            int_lanes st.vi m nm ns f os os od;
+            st.vt.(id) <- tag)
       | None -> fallback)
     | Minstr.Vshift (((Op.Shl | Op.Shr) as op), ty, d, s, amt)
       when not (Src_type.is_float ty) ->
-      (* [exec] shifts every lane by the raw GPR; normalizing the broadcast
-         amount at [ty] keeps the low bits a shift reads. *)
-      let id = reg_index d and iamt = reg_index amt in
+      (* [exec] shifts every lane by the raw GPR; normalizing the amount at
+         [ty] keeps the low bits a shift reads. *)
+      let id = reg_index d and is = reg_index s and iamt = reg_index amt in
       let m = lanes_of ty and nm, ns = norm_consts ty in
-      let f = int_binop op ty in
-      ints [ s ] (fun st ps ->
-          let y = Array.make m st.gpr.(iamt) in
-          st.vr.(id) <- VInt (int_lanes m nm ns f ps.(0) y))
+      let f = int_binop op ty and od = id * vw and os = is * vw in
+      let tag = int_tag m in
+      shaped [ is, tag ] (fun st ->
+          let vi = st.vi and y = norm nm ns st.gpr.(iamt) in
+          for l = 0 to m - 1 do
+            vi.(od + l) <- norm nm ns (f (norm nm ns vi.(os + l)) y)
+          done;
+          st.vt.(id) <- tag)
     | Minstr.Vreduce (op, ty, d, s) when not (Src_type.is_float ty) ->
-      let id = reg_index d and m = lanes_of ty and nm, ns = norm_consts ty in
-      let f = int_binop op ty in
-      ints [ s ] (fun st ps -> st.gpr.(id) <- int_reduce m nm ns f ps.(0))
+      let id = reg_index d and is = reg_index s in
+      let m = lanes_of ty and nm, ns = norm_consts ty in
+      let f = int_binop op ty and os = is * vw in
+      shaped [ is, int_tag m ] (fun st ->
+          st.gpr.(id) <- int_reduce st.vi m nm ns f os)
     | Minstr.Vunpack (h, ty, d, s) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
       | None -> fallback (* widen_exn faults at execution *)
       | Some w ->
-        let id = reg_index d and m = lanes_of ty in
-        let map = lane_map ~first:(half_off h m) m (m / 2) in
-        let from = norm_consts ty and into = norm_consts w in
-        ints [ s ] (fun st ps ->
-            st.vr.(id) <- VInt (gather from into map ps (Array.make (m / 2) 0))))
+        let m = lanes_of ty in
+        gather_arm [| reg_index s |]
+          (lane_map ~first:(half_off h m) m (m / 2))
+          ty w (reg_index d))
     | Minstr.Vpack (ty, d, a, b) when not (Src_type.is_float ty) -> (
       match Src_type.narrow ty with
       | None -> fallback (* narrow_exn faults at execution *)
       | Some n ->
-        let id = reg_index d and m = lanes_of ty in
-        let map = lane_map m (2 * m) in
-        let from = norm_consts ty and into = norm_consts n in
-        ints [ a; b ] (fun st ps ->
-            st.vr.(id) <- VInt (gather from into map ps (Array.make (2 * m) 0))))
+        let m = lanes_of ty in
+        gather_arm [| reg_index a; reg_index b |] (lane_map m (2 * m)) ty n
+          (reg_index d))
     | Minstr.Vcvt (t1, t2, d, s)
       when not (Src_type.is_float t1 || Src_type.is_float t2) ->
-      let id = reg_index d and m = lanes_of t1 in
-      let map = lane_map m m in
-      let from = norm_consts t1 and into = norm_consts t2 in
-      ints [ s ] (fun st ps ->
-          st.vr.(id) <- VInt (gather from into map ps (Array.make m 0)))
-    | Minstr.Vextract (ty, stride, offset, d, parts)
-      when not (Src_type.is_float ty) ->
-      let id = reg_index d and m = lanes_of ty in
-      let map = lane_map ~first:offset ~stride m m in
-      let c = norm_consts ty in
-      ints parts (fun st ps ->
-          st.vr.(id) <- VInt (gather c c map ps (Array.make m 0)))
+      let m = lanes_of t1 in
+      gather_arm [| reg_index s |] (lane_map m m) t1 t2 (reg_index d)
+    | Minstr.Vextract (ty, stride, offset, d, parts) ->
+      let m = lanes_of ty in
+      gather_arm
+        (Array.of_list (List.map reg_index parts))
+        (lane_map ~first:offset ~stride m m)
+        ty ty (reg_index d)
+    | Minstr.Vinterleave (h, ty, d, a, b) ->
+      (* lane l is lane [off + l/2] of [a] (even l) or [b] (odd l) *)
+      let m = lanes_of ty in
+      let off = half_off h m in
+      gather_arm [| reg_index a; reg_index b |]
+        (Array.init m (fun l -> l mod 2), Array.init m (fun l -> off + (l / 2)))
+        ty ty (reg_index d)
     | Minstr.Vinsert (ty, d, v, n, s)
       when (not (Src_type.is_float ty)) && n >= 0 && n < lanes_of ty ->
-      (* Lane n gathers from a one-lane second source holding the scalar,
-         so the base register's lane n is never read, as in [exec]. *)
-      let id = reg_index d and is = reg_index s and m = lanes_of ty in
-      let ((sj, si) as map) = lane_map m m in
-      sj.(n) <- 1;
-      si.(n) <- 0;
-      let c = norm_consts ty in
-      ints [ v ] (fun st ps ->
-          let ps = [| ps.(0); [| st.gpr.(is) |] |] in
-          st.vr.(id) <- VInt (gather c c map ps (Array.make m 0)))
-    (* The widening products, on top of the gather and lanewise loops.  The
-       widened operands are temporaries, gathered into per-instruction
-       scratch arrays ([ta], [tb]): a plan is not re-entrant. *)
+      (* Lane n is never read from the base, as in [exec]. *)
+      let id = reg_index d and iv = reg_index v and is = reg_index s in
+      let m = lanes_of ty and nm, ns = norm_consts ty in
+      let need = if n = m - 1 then m - 1 else m in
+      let od = id * vw and ov = iv * vw and tag = int_tag m in
+      shaped [ iv, int_tag need ] (fun st ->
+          let vi = st.vi and x = norm nm ns st.gpr.(is) in
+          for l = 0 to m - 1 do
+            vi.(od + l) <- (if l = n then x else norm nm ns vi.(ov + l))
+          done;
+          st.vt.(id) <- tag)
+    (* The widening products: lane l widens its source lanes and multiplies
+       them at the wide type [w]; lane l reads no lane below l, so both
+       write in place. *)
     | Minstr.Vwidenmul (h, ty, d, a, b) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
       | None -> fallback
       | Some w ->
-        let id = reg_index d and m = lanes_of ty in
+        let id = reg_index d and ia = reg_index a and ib = reg_index b in
+        let m = lanes_of ty in
         let half = m / 2 and first = half_off h m in
-        let la = lane_map ~first m half and lb = lane_map ~src:1 ~first m half in
-        let from = norm_consts ty and ((wm, ws) as into) = norm_consts w in
-        let mul = int_binop Op.Mul w in
-        let ta = Array.make half 0 and tb = Array.make half 0 in
-        ints [ a; b ] (fun st ps ->
-            st.vr.(id) <-
-              VInt
-                (int_lanes half wm ws mul (gather from into la ps ta)
-                   (gather from into lb ps tb))))
+        let nm, ns = norm_consts ty and wm, ws = norm_consts w in
+        let oa = (ia * vw) + first and ob = (ib * vw) + first in
+        let od = id * vw and tag = int_tag half in
+        let tmin = int_tag (first + half) in
+        shaped [ ia, tmin; ib, tmin ] (fun st ->
+            let vi = st.vi in
+            for l = 0 to half - 1 do
+              let x = norm wm ws (norm nm ns vi.(oa + l))
+              and y = norm wm ws (norm nm ns vi.(ob + l)) in
+              vi.(od + l) <- norm wm ws (x * y)
+            done;
+            st.vt.(id) <- tag))
     | Minstr.Vdot (ty, d, a, b, acc) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
       | None -> fallback
       | Some w ->
         (* lane l is acc.(l) + (p0 + p1) at w, the products of the widened
            lanes 2l and 2l+1 *)
-        let id = reg_index d and m = lanes_of ty in
+        let id = reg_index d and ia = reg_index a and ib = reg_index b in
+        let ic = reg_index acc in
+        let m = lanes_of ty in
         let half = m / 2 in
-        let la = lane_map m (2 * half) and lb = lane_map ~src:1 m (2 * half) in
-        let from = norm_consts ty and ((wm, ws) as into) = norm_consts w in
-        let ta = Array.make (2 * half) 0 and tb = Array.make (2 * half) 0 in
-        ints [ a; b; acc ] (fun st ps ->
-            let x = gather from into la ps ta and y = gather from into lb ps tb in
-            let c = ps.(2) and r = Array.make half 0 in
+        let nm, ns = norm_consts ty and wm, ws = norm_consts w in
+        let oa = ia * vw and ob = ib * vw and oc = ic * vw in
+        let od = id * vw and tag = int_tag half in
+        let tp = int_tag (2 * half) in
+        shaped [ ia, tp; ib, tp; ic, tag ] (fun st ->
+            let vi = st.vi in
             for l = 0 to half - 1 do
               let i = 2 * l in
-              let p0 = norm wm ws (x.(i) * y.(i))
-              and p1 = norm wm ws (x.(i + 1) * y.(i + 1)) in
-              r.(l) <- norm wm ws (norm wm ws c.(l) + norm wm ws (p0 + p1))
+              let p0 =
+                norm wm ws
+                  (norm wm ws (norm nm ns vi.(oa + i))
+                  * norm wm ws (norm nm ns vi.(ob + i)))
+              and p1 =
+                norm wm ws
+                  (norm wm ws (norm nm ns vi.(oa + i + 1))
+                  * norm wm ws (norm nm ns vi.(ob + i + 1)))
+              in
+              vi.(od + l) <- norm wm ws (norm wm ws vi.(oc + l) + norm wm ws (p0 + p1))
             done;
-            st.vr.(id) <- VInt r))
-    (* Everything else runs the reference step: the float forms of Sunop,
-       Vunop, Vcvt and Vextract, and the instructions the measured mix
-       barely runs (Scmp, Cmov, Viota, Vcmp, Vsel, Vperm, Lvsr, Vinterleave,
-       masked loads and stores). *)
+            st.vt.(id) <- tag))
+    (* Conversions with a float side, lane by lane as [Value.convert]:
+       an int source is normalized at [t1], a float one rounded at [t1];
+       float -> int truncates toward zero.  The two classes live in
+       separate arrays, so [d] may be [s]. *)
+    | Minstr.Vcvt (t1, t2, d, s) -> (
+      let id = reg_index d and is = reg_index s and m = lanes_of t1 in
+      let od = id * vw and os = is * vw in
+      let n1 = t1 = Src_type.F32 and n2 = t2 = Src_type.F32 in
+      match Src_type.is_float t1, Src_type.is_float t2 with
+      | false, true ->
+        let nm, ns = norm_consts t1 and tag = float_tag m in
+        shaped [ is, int_tag m ] (fun st ->
+            let vf = st.vf and vi = st.vi and c = st.f32 in
+            for l = 0 to m - 1 do
+              vf.(od + l) <- round c n2 (float_of_int (norm nm ns vi.(os + l)))
+            done;
+            st.vt.(id) <- tag)
+      | true, false ->
+        let dm, ds = norm_consts t2 and tag = int_tag m in
+        shaped [ is, float_tag m ] (fun st ->
+            let vf = st.vf and vi = st.vi and c = st.f32 in
+            for l = 0 to m - 1 do
+              let x = round c n1 vf.(os + l) in
+              vi.(od + l) <- norm dm ds (int_of_float (Float.of_int 0 +. Float.trunc x))
+            done;
+            st.vt.(id) <- tag)
+      | true, true ->
+        let tag = float_tag m in
+        shaped [ is, tag ] (fun st ->
+            let vf = st.vf and c = st.f32 in
+            for l = 0 to m - 1 do
+              vf.(od + l) <- round c n2 (round c n1 vf.(os + l))
+            done;
+            st.vt.(id) <- tag)
+      | false, false -> fallback (* the int gather arm above *))
+    (* Comparisons into a GPR or an int mask: 0/1 on raw scalar registers,
+       on normalized int lanes, on rounded float lanes. *)
+    | Minstr.Scmp (op, ty, d, a, b) when Op.is_comparison op ->
+      let id = reg_index d and ia = reg_index a and ib = reg_index b in
+      if Src_type.is_float ty then
+        fun st ->
+          st.gpr.(id) <- int_of_float (float_binop st.f32 op false st.fpr.(ia) st.fpr.(ib));
+          next
+      else
+        let f = int_binop op ty in
+        fun st -> st.gpr.(id) <- f st.gpr.(ia) st.gpr.(ib); next
+    | Minstr.Vcmp (op, ty, d, a, b)
+      when Op.is_comparison op && not (Src_type.is_float ty) ->
+      (* an int comparison mask is the int lanewise op's result *)
+      compile_action pc (Minstr.Vop (op, ty, d, a, b))
+    | Minstr.Vcmp (op, ty, d, a, b) when Op.is_comparison op ->
+      let id = reg_index d and ia = reg_index a and ib = reg_index b in
+      let m = lanes_of ty and od = id * vw and oa = ia * vw and ob = ib * vw in
+      let n32 = ty = Src_type.F32 and tmin = float_tag m and tag = int_tag m in
+      shaped [ ia, tmin; ib, tmin ] (fun st ->
+          let vf = st.vf and vi = st.vi and c = st.f32 in
+          for l = 0 to m - 1 do
+            vi.(od + l) <-
+              int_of_float
+                (float_binop c op n32 (round c n32 vf.(oa + l)) (round c n32 vf.(ob + l)))
+          done;
+          st.vt.(id) <- tag)
+    | Minstr.Vsel (ty, d, mask, a, b) ->
+      (* lane l is lane l of [a] where the int mask is nonzero, else of [b] *)
+      let id = reg_index d and im = reg_index mask in
+      let ia = reg_index a and ib = reg_index b and m = lanes_of ty in
+      let od = id * vw and om = im * vw and oa = ia * vw and ob = ib * vw in
+      if Src_type.is_float ty then
+        let n32 = ty = Src_type.F32 and tag = float_tag m in
+        shaped [ im, int_tag m; ia, tag; ib, tag ] (fun st ->
+            let vf = st.vf and vi = st.vi and c = st.f32 in
+            for l = 0 to m - 1 do
+              vf.(od + l) <- round c n32 (if vi.(om + l) <> 0 then vf.(oa + l) else vf.(ob + l))
+            done;
+            st.vt.(id) <- tag)
+      else
+        let nm, ns = norm_consts ty and tag = int_tag m in
+        shaped [ im, tag; ia, tag; ib, tag ] (fun st ->
+            let vi = st.vi in
+            for l = 0 to m - 1 do
+              vi.(od + l) <- norm nm ns (if vi.(om + l) <> 0 then vi.(oa + l) else vi.(ob + l))
+            done;
+            st.vt.(id) <- tag)
+    | Minstr.Cmov (d, c, a, b) ->
+      let ic = reg_index c in
+      let move_a = compile_action pc (Minstr.Mov (d, a))
+      and move_b = compile_action pc (Minstr.Mov (d, b)) in
+      fun st -> if st.gpr.(ic) <> 0 then move_a st else move_b st
+    (* AltiVec realignment: [Lvsr] makes a one-lane token, [Vperm] reads
+       lanes [tok, tok + m) of [a] and [b] concatenated.  A token outside
+       [0, m] runs [exec]; one inside reads only lanes both registers must
+       hold, and reading [a] at [tok + l] never reads a lane below l, so
+       only [d] = [b] goes through scratch. *)
+    | Minstr.Lvsr (ty, d, a) ->
+      let id = reg_index d and ea = compile_addr a and sz = Src_type.size_of ty in
+      fun st ->
+        let tok = ea st mod vs / sz in
+        st.vi.(id * vw) <- tok;
+        st.vt.(id) <- int_tag 1;
+        next
+    | Minstr.Vperm (ty, d, a, b, t) ->
+      let id = reg_index d and ia = reg_index a and ib = reg_index b in
+      let it = reg_index t and m = lanes_of ty in
+      let od = id * vw and oa = ia * vw and ob = ib * vw and ot = it * vw in
+      let dst = if id = ib then scratch else od in
+      let float = Src_type.is_float ty in
+      let tag = if float then float_tag m else int_tag m in
+      let c = if float then 0, 0 else norm_consts ty and n32 = ty = Src_type.F32 in
+      let src = Array.make m 0 in (* this run's gather map *)
+      fun st ->
+        let tok = st.vi.(ot) in
+        if st.vt.(it) = int_tag 1 && tok >= 0 && tok <= m
+           && fits st.vt.(ia) tag && fits st.vt.(ib) tag
+        then begin
+          for l = 0 to m - 1 do
+            let p = tok + l in
+            src.(l) <- (if p < m then oa + p else ob + p - m)
+          done;
+          if float then begin
+            let vf = st.vf in
+            gather_float vf st.f32 n32 src dst;
+            for l = 0 to m - 1 do
+              vf.(od + l) <- vf.(dst + l)
+            done
+          end
+          else begin
+            let vi = st.vi in
+            gather vi c c src dst;
+            for l = 0 to m - 1 do
+              vi.(od + l) <- vi.(dst + l)
+            done
+          end;
+          st.vt.(id) <- tag
+        end
+        else exec st ins;
+        next
+    (* Everything else runs the reference step: the float forms of Vunop,
+       bitwise ops on float lanes, and the instructions the measured mix
+       barely runs (Viota, masked loads and stores). *)
     | _ -> fallback
   in
   let p_code = Array.mapi compile_action instrs in
@@ -1229,6 +1681,8 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       p_target = target;
       p_mfun = f;
       p_cost;
+      p_blen;
+      p_bcost;
       p_code;
       p_syms;
       p_bases;
@@ -1241,33 +1695,20 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
 
 let run_plan ?(fuel = 200_000_000) (p : plan) (layout : Layout.t)
     (mem : Bytes.t) ~(scalar_args : (string * Value.t) list) : result =
-  let f = p.p_mfun in
   let st =
     match p.p_state with
     | Some st ->
+      (* Undefined tags hide whatever lanes the last run left. *)
       st.layout <- layout;
       st.mem <- mem;
       Array.fill st.gpr 0 (Array.length st.gpr) 0;
       Array.fill st.fpr 0 (Array.length st.fpr) 0.0;
-      Array.fill st.vr 0 (Array.length st.vr) VUndef;
-      Array.fill st.vspill 0 (Array.length st.vspill) VUndef;
+      Array.fill st.vt 0 (Array.length st.vt) undef_tag;
       st.cycles <- 0;
       st.executed <- 0;
       st
     | None ->
-      let st =
-        {
-          target = p.p_target;
-          layout;
-          mem;
-          gpr = Array.make (max 1 f.Mfun.n_gpr) 0;
-          fpr = Array.make (max 1 f.Mfun.n_fpr) 0.0;
-          vr = Array.make (max 1 f.Mfun.n_vr) VUndef;
-          vspill = Array.make (max 1 f.Mfun.n_vspill) VUndef;
-          cycles = 0;
-          executed = 0;
-        }
-      in
+      let st = make_state p.p_target layout mem p.p_mfun in
       p.p_state <- Some st;
       st
   in
@@ -1284,13 +1725,30 @@ let run_plan ?(fuel = 200_000_000) (p : plan) (layout : Layout.t)
   for k = 0 to Array.length binders - 1 do
     binders.(k) st scalar_args
   done;
-  let code = p.p_code and cost = p.p_cost in
+  let code = p.p_code and blen = p.p_blen and bcost = p.p_bcost in
   let n = Array.length code in
   let pc = ref 0 in
   while !pc < n do
-    if st.executed > fuel then faultf "fuel exhausted (infinite loop?)";
-    st.executed <- st.executed + 1;
-    st.cycles <- st.cycles + cost.(!pc);
-    pc := code.(!pc) st
+    let b = !pc in
+    let len = blen.(b) in
+    if st.executed + len - 1 > fuel then begin
+      (* The fuel runs out inside this block: step it one instruction at a
+         time, as [run] does, so the fault comes at the same instruction. *)
+      if st.executed > fuel then faultf "fuel exhausted (infinite loop?)";
+      st.executed <- st.executed + 1;
+      st.cycles <- st.cycles + p.p_cost.(b);
+      pc := code.(b) st
+    end
+    else begin
+      (* A fault mid-block leaves the block charged in full; it raises out
+         of [run_plan], so nobody reads those counters. *)
+      st.executed <- st.executed + len;
+      st.cycles <- st.cycles + bcost.(b);
+      let last = b + len - 1 in
+      for k = b to last - 1 do
+        ignore (code.(k) st : int)
+      done;
+      pc := code.(last) st
+    end
   done;
   { r_cycles = st.cycles; r_instructions = st.executed }

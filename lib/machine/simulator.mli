@@ -25,14 +25,16 @@ val run :
   result
 
 (** A pre-resolved execution plan for one compiled function on one target:
-    labels resolved to pcs, per-pc costs (x87-blended) precomputed,
-    parameter binding compiled to closures.  The instructions the measured
-    workload mix runs compile to specialized closures — scalar, control
-    and spill instructions directly, vector lane operations through a few
-    shared lane loops; every other instruction runs the reference step.
-    Bit-, cycle-, instruction- and fault-exact against [run]; built once at
-    JIT-compile time and reused for every invocation with zero per-run
-    setup allocation. *)
+    labels resolved to pcs, costs (x87-blended) summed per basic block,
+    parameter binding compiled to closures, every vector register given
+    fixed lane storage.  Nearly every instruction compiles to a
+    specialized closure that writes its result in place; the rest —
+    masked loads and stores, float [Vunop], [Viota], bitwise ops on float
+    lanes — run the reference step.  Bit-, cycle-, instruction- and
+    fault-exact against [run]; built once at JIT-compile time and reused
+    for every invocation.  A run allocates a constant handful of words
+    (parameter binding, the result) and nothing per executed
+    instruction, except in those reference steps. *)
 type plan
 
 val prepare : target:Target.t -> Mfun.t -> plan
@@ -40,7 +42,9 @@ val prepare : target:Target.t -> Mfun.t -> plan
 (** The target the plan's costs and lane counts were resolved for. *)
 val plan_target : plan -> Target.t
 
-(** Run a prepared plan; same contract and faults as [run].  Not
+(** Run a prepared plan; same contract and faults as [run].  It charges
+    each basic block's cycles and instructions at once, stepping one
+    instruction at a time only in the block where [fuel] runs out.  Not
     re-entrant: each plan owns one scratch machine state. *)
 val run_plan :
   ?fuel:int ->

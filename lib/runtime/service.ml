@@ -161,6 +161,9 @@ type shard = {
   (* one latch per [cfg_retargets] entry *)
   sh_retargeted : bool array;
   mutable sh_dropped : bool;
+  (* Pristine operands per (kernel, scale), built on first use and never
+     written: deterministic values no snapshot needs to carry. *)
+  sh_operands : (string * int, (string * Vapor_ir.Eval.arg) list) Hashtbl.t;
 }
 
 type pool = {
@@ -227,6 +230,7 @@ let pool_create ?(tracer = Tracer.disabled) ?(shards = 1) (cfg : config)
       sh_targets = Array.of_list cfg.cfg_targets;
       sh_retargeted = Array.make (List.length cfg.cfg_retargets) false;
       sh_dropped = false;
+      sh_operands = Hashtbl.create 16;
     }
   in
   {
@@ -346,6 +350,24 @@ let note_target_run sh cfg ~(target : Target.t) (r : Tiered.run) =
   end;
   r
 
+(* An event's operands: a copy of the shard's pristine set for (kernel,
+   scale).  The suite's argument builders are pure functions of (kernel,
+   scale) — batch elision relies on that too — so each shard builds a set
+   once; the pristine set never reaches a kernel, which writes its
+   operands in place. *)
+let shard_operands pool ~shard ~kernel ~scale =
+  let sh = pool.pl_shards.(shard) in
+  let pristine =
+    match Hashtbl.find_opt sh.sh_operands (kernel, scale) with
+    | Some args -> args
+    | None ->
+      let entry, _, _ = Hashtbl.find sh.sh_table kernel in
+      let args = entry.Suite.args ~scale in
+      Hashtbl.add sh.sh_operands (kernel, scale) args;
+      args
+  in
+  Tiered.copy_args pristine
+
 (* The one per-event step.  Triggers (rejuvenation, SIMD drop) fire at
    the first owned event at or past their index, so a shard that does not
    own the exact trigger event still switches at the same point in its own
@@ -357,7 +379,7 @@ let shard_step ?interp_only ?force_oracle ?discard_store_hit ?batch pool
   let sh = pool.pl_shards.(shard) in
   let cfg = pool.pl_cfg in
   if fire_triggers pool ~shard ev then Option.iter Tiered.batch_reset batch;
-  let entry, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
+  let _, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
   let target =
     sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
   in
@@ -387,7 +409,10 @@ let shard_step ?interp_only ?force_oracle ?discard_store_hit ?batch pool
         (Tiered.invoke_lazy ~digest ~label:ev.Trace.ev_kernel ?interp_only
            ?force_oracle ?discard_store_hit ?memo sh.sh_tiered ~target
            ~profile:cfg.cfg_profile vk
-           ~args:(lazy (entry.Suite.args ~scale:ev.Trace.ev_scale)))
+           ~args:
+             (lazy
+               (shard_operands pool ~shard ~kernel:ev.Trace.ev_kernel
+                  ~scale:ev.Trace.ev_scale)))
     in
     if Tracer.on tr then
       Tracer.root_end tr

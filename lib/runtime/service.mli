@@ -177,6 +177,16 @@ val shard_step :
   Trace.event ->
   event_record
 
+(** The operands an event of [kernel] at [scale] runs on in [shard]: a
+    fresh copy ({!Tiered.copy_args}) of the shard's pristine set, which
+    is built on first use and never handed out itself. *)
+val shard_operands :
+  pool ->
+  shard:int ->
+  kernel:string ->
+  scale:int ->
+  (string * Vapor_ir.Eval.arg) list
+
 (** The shard's private fault injector ([None] when unguarded, and when
     a multi-shard pool was built from an unguarded config).  The serving
     supervisor draws its per-shard crash/wedge schedule from it. *)

@@ -224,6 +224,10 @@ val tracer : t -> Vapor_obs.Tracer.t
     recovered trace must match). *)
 val set_tracer : t -> Vapor_obs.Tracer.t -> unit
 
+(** A copy of an argument list whose array buffers share nothing with
+    the original. *)
+val copy_args : (string * Eval.arg) list -> (string * Eval.arg) list
+
 (** The modeled interpreter cost (exposed for tests). *)
 val interp_cycles : B.vkernel -> args:(string * Eval.arg) list -> int
 

@@ -31,16 +31,15 @@ let mfun ?(n_gpr = 16) ?(n_fpr = 16) ?(n_vr = 16) ?(params = [])
   }
 
 (* Run [instrs] twice, each on its own copy of the memory image: through
-   the reference [Simulator.run] and through a prepared plan.  The two must
-   agree on cycles, executed instructions and final memory, or raise the
-   same exception (fault message included).  Returns the reference
-   outcome, with [arrays] read back. *)
-let run_both ?(target = sse) ?(arrays = []) ?(scalars = []) ?params ?fp_unit
-    ?fuel instrs =
+   the reference [Simulator.run] and through a prepared plan.  Returns the
+   layout, then each engine's final memory and outcome: a result or the
+   exception it raised. *)
+let engines ?(target = sse) ?(arrays = []) ?(scalars = []) ?params ?fp_unit
+    ?n_vr ?fuel instrs =
   let layout = Layout.plan ~policy:Layout.aligned_policy arrays in
   let mem = Layout.materialize layout arrays in
   let plan_mem = Bytes.copy mem in
-  let f = mfun ?params ?fp_unit instrs in
+  let f = mfun ?n_vr ?params ?fp_unit instrs in
   let outcome go = match go () with r -> Ok r | exception e -> Error e in
   let reference =
     outcome (fun () ->
@@ -50,6 +49,15 @@ let run_both ?(target = sse) ?(arrays = []) ?(scalars = []) ?params ?fp_unit
     outcome (fun () ->
         Simulator.run_plan ?fuel (Simulator.prepare ~target f) layout plan_mem
           ~scalar_args:scalars)
+  in
+  layout, (mem, reference), (plan_mem, planned)
+
+(* The two engines must agree on cycles, executed instructions and final
+   memory, or raise the same exception (fault message included).  Returns
+   the reference outcome, with [arrays] read back. *)
+let run_both ?target ?(arrays = []) ?scalars ?params ?fp_unit ?fuel instrs =
+  let layout, (mem, reference), (plan_mem, planned) =
+    engines ?target ~arrays ?scalars ?params ?fp_unit ?fuel instrs
   in
   (match reference, planned with
   | Ok r, Ok p ->
@@ -343,6 +351,435 @@ let test_faults () =
       | Ok _ -> fail (name ^ ": expected the reference to raise")
       | Error _ -> ())
     fault_cases
+
+(* --- fuel: exhaustion mid-block faults where the reference does -------- *)
+
+(* A loop of six basic blocks (entry, header, body, a part the body
+   skips on early trips, latch, exit) that stores on every trip: at
+   every fuel limit the plan must stop at the instruction the reference
+   stops at, with the same fault text and the same memory written so
+   far. *)
+let test_fuel_every_position () =
+  let a = M.plain_addr "a" in
+  let instrs =
+    [
+      M.Li (M.gpr 0, 0);
+      M.Li (M.gpr 1, 5);
+      M.Li (M.gpr 2, 1);
+      M.Li (M.gpr 3, 2);
+      M.Label 0;
+      M.Br (Op.Ge, M.gpr 0, M.gpr 1, 1);
+      M.Store (Src_type.I32, { a with M.index = Some (M.gpr 0); scale = 4 }, M.gpr 0);
+      M.Br (Op.Lt, M.gpr 0, M.gpr 3, 2);
+      M.Vsplat (Src_type.I32, M.vr 0, M.gpr 0);
+      M.VStore (M.VM_misaligned, Src_type.I32, { a with M.disp = 32 }, M.vr 0);
+      M.Label 2;
+      M.Sop (Op.Add, Src_type.I32, M.gpr 0, M.gpr 0, M.gpr 2);
+      M.Jmp 0;
+      M.Label 1;
+      M.Store (Src_type.I32, { a with M.disp = 60 }, M.gpr 0);
+    ]
+  in
+  let total = (run ~arrays:[ "a", i32s 16 ] instrs).Simulator.r_instructions in
+  for fuel = 0 to total do
+    match run_both ~fuel ~arrays:[ "a", i32s 16 ] instrs with
+    | Ok _ when fuel < total - 1 -> fail (Printf.sprintf "fuel %d: no fault" fuel)
+    | Error (Simulator.Fault _) when fuel < total - 1 -> ()
+    | Error e -> fail (Printf.sprintf "fuel %d: %s" fuel (Printexc.to_string e))
+    | Ok _ -> ()
+  done
+
+(* --- f32 rounding ------------------------------------------------------- *)
+
+(* The plan rounds to f32 through its float32 cell; that must equal the
+   Int32 round trip bit for bit.  [Cvt] f64 -> f32 rounds a register, and
+   an f64 store writes the result's bits out. *)
+let plan_rounded xs =
+  let n = Array.length xs in
+  let out = M.plain_addr "out" in
+  let instrs =
+    List.concat
+      (List.init n (fun i ->
+           [
+             M.Lfi (M.fpr 0, xs.(i));
+             M.Cvt (Src_type.F64, Src_type.F32, M.fpr 1, M.fpr 0);
+             M.Store (Src_type.F64, { out with M.disp = 8 * i }, M.fpr 1);
+           ]))
+  in
+  let arrays = [ "out", Buffer_.create Src_type.F64 n ] in
+  let layout = Layout.plan ~policy:Layout.aligned_policy arrays in
+  let mem = Layout.materialize layout arrays in
+  ignore
+    (Simulator.run_plan (Simulator.prepare ~target:sse (mfun instrs)) layout mem
+       ~scalar_args:[]);
+  let base = Layout.base_of layout "out" in
+  Array.init n (fun i -> Bytes.get_int64_le mem (base + (8 * i)))
+
+let int32_rounded x =
+  Int64.bits_of_float (Int32.float_of_bits (Int32.bits_of_float x))
+
+let rounding_agrees xs =
+  let got = plan_rounded xs in
+  Array.for_all2 (fun x g -> Int64.equal (int32_rounded x) g) xs got
+
+let test_rounding_edges () =
+  let bits = Int64.float_of_bits in
+  let edges =
+    [|
+      0.0; -0.0; infinity; neg_infinity; nan; -.nan;
+      bits 0x7ff0000000000001L (* signalling NaN, low payload *);
+      bits 0x7ff8000000abcdefL; bits 0xfff4000000000000L;
+      Float.min_float; 5e-324 (* f64 subnormal *); 1e-45; 1.4e-45;
+      7e-46 (* rounds to the smallest f32 subnormal or zero *);
+      1.1754942e-38 (* f32 subnormal *); 3.4028234663852886e38 (* f32 max *);
+      3.4028235677973366e38 (* overflows to infinity *); 1e39; -1e39;
+      Float.max_float; 1.0 /. 3.0; 0.1; 16777217.0; -16777217.0;
+      Float.pred 1.0; Float.succ 1.0;
+    |]
+  in
+  Array.iter
+    (fun x ->
+      let got = (plan_rounded [| x |]).(0) in
+      if not (Int64.equal got (int32_rounded x)) then
+        fail (Printf.sprintf "rounding %h: got %Lx, want %Lx" x got (int32_rounded x)))
+    edges
+
+let prop_rounding =
+  QCheck.Test.make ~count:200 ~name:"f32 rounding = Int32 round trip"
+    QCheck.(make ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+       Gen.(array_size (return 64) (map Int64.float_of_bits ui64)))
+    rounding_agrees
+
+(* --- the register file: a differential generator ----------------------- *)
+
+(* Random straight-line and looped sequences of the plan's vector, spill
+   and move instructions over four vector registers and four spill slots,
+   run through [Simulator.run] and [run_plan] on copies of one memory
+   image.  The small register file makes destinations equal to sources,
+   registers reused at other lane types, overwritten spill and move
+   sources, undefined reads and lane-count mismatches common. *)
+
+let gen_vreg = QCheck.Gen.map M.vr (QCheck.Gen.int_range 0 3)
+
+let gen_ty =
+  QCheck.Gen.oneofl
+    Src_type.[ I8; U8; I16; U16; I32; U32; I64; F32; F64 ]
+
+(* mostly aligned, in-bounds vector addresses into [a] (256 bytes) *)
+let gen_vaddr =
+  QCheck.Gen.(
+    map
+      (fun d -> { (M.plain_addr "a") with M.disp = d })
+      (frequency
+         [ 8, map (fun k -> 16 * k) (int_range 0 14); 1, int_range 0 250;
+           1, return 256 ]))
+
+(* One instruction, or a realignment pair, its lane types drawn from
+   [ty]. *)
+let gen_vinstrs ty =
+  let open QCheck.Gen in
+  let r = gen_vreg in
+  let scalar_int = oneofl [ M.gpr 1; M.gpr 2 ]
+  and scalar_fp = oneofl [ M.fpr 0; M.fpr 1 ] in
+  let scalar_for t = if Src_type.is_float t then scalar_fp else scalar_int in
+  let binop =
+    oneofl Op.[ Add; Sub; Mul; Min; Max; And; Or; Xor; Eq; Lt; Ge; Div ]
+  in
+  let cmp = oneofl Op.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let half = oneofl M.[ Lo; Hi ] in
+  let kind = frequency [ 3, return M.VM_aligned; 1, return M.VM_misaligned ] in
+  let realign =
+    (* a token from a misaligned address, then the permute reading it *)
+    map3
+      (fun t (tok, d) ((a, b), disp) ->
+        let addr = { (M.plain_addr "a") with M.disp } in
+        [ M.Lvsr (t, tok, addr); M.Vperm (t, d, a, b, tok) ])
+      ty (pair r r) (pair (pair r r) (int_range 0 47))
+  in
+  let single =
+    frequency
+    [
+      4, map3 (fun k t (d, a) -> M.VLoad (k, t, d, a)) kind ty (pair r gen_vaddr);
+      3, map3 (fun k t (a, s) -> M.VStore (k, t, a, s)) kind ty (pair gen_vaddr r);
+      4, map3 (fun op t (d, a, b) -> M.Vop (op, t, d, a, b)) binop ty (triple r r r);
+      1, map3 (fun op t (d, s) -> M.Vunop (op, t, d, s))
+           (oneofl Op.[ Neg; Abs; Not; Sqrt ]) ty (pair r r);
+      1, map3 (fun op t (d, s) -> M.Vshift (op, t, d, s, M.gpr 1))
+           (oneofl Op.[ Shl; Shr ]) ty (pair r r);
+      2, (ty >>= fun t -> map2 (fun d s -> M.Vsplat (t, d, s)) r (scalar_for t));
+      1, (ty >>= fun t ->
+          map3 (fun (d, v) n s -> M.Vinsert (t, d, v, n, s)) (pair r r)
+            (int_range 0 4) (scalar_for t));
+      1, (pair binop ty >>= fun (op, t) ->
+          map2 (fun d s -> M.Vreduce (op, t, d, s)) (scalar_for t) r);
+      2, map3 (fun h t (d, s) -> M.Vunpack (h, t, d, s)) half ty (pair r r);
+      2, map2 (fun t (d, a, b) -> M.Vpack (t, d, a, b)) ty (triple r r r);
+      1, map3 (fun t1 t2 (d, s) -> M.Vcvt (t1, t2, d, s)) ty gen_ty (pair r r);
+      2, map3
+           (fun (t, stride) offset (d, parts) -> M.Vextract (t, stride, offset, d, parts))
+           (pair ty (int_range 1 3)) (int_range 0 3)
+           (pair r (list_size (int_range 1 3) r));
+      1, map3 (fun h t (d, a, b) -> M.Vinterleave (h, t, d, a, b)) half ty (triple r r r);
+      2, map3 (fun h t (d, a, b) -> M.Vwidenmul (h, t, d, a, b)) half ty (triple r r r);
+      2, map2 (fun t ((d, a), (b, c)) -> M.Vdot (t, d, a, b, c)) ty
+           (pair (pair r r) (pair r r));
+      1, map3 (fun op t (d, a, b) -> M.Vcmp (op, t, d, a, b)) cmp ty (triple r r r);
+      1, map2 (fun t ((d, m), (a, b)) -> M.Vsel (t, d, m, a, b)) ty
+           (pair (pair r r) (pair r r));
+      1, map2 (fun t (d, a) -> M.Lvsr (t, d, a)) ty (pair r gen_vaddr);
+      1, map2 (fun t ((d, a), (b, tok)) -> M.Vperm (t, d, a, b, tok)) ty
+           (pair (pair r r) (pair r r));
+      3, map2 (fun d s -> M.Mov (d, s)) r r;
+      3, map2 (fun slot s -> M.VSpill (slot, s)) (int_range 0 3) r;
+      3, map2 (fun d slot -> M.VReload (d, slot)) r (int_range 0 3);
+      1, map2 (fun d v -> M.Li (d, v)) scalar_int (int_range (-300) 300);
+      1, map2 (fun d v -> M.Lfi (d, v)) scalar_fp (float_range (-1e3) 1e3);
+    ]
+  in
+  frequency [ 1, realign; 20, map (fun i -> [ i ]) single ]
+
+(* A case: the body, and how often a loop around it runs (none: the body
+   runs once, straight-line).  A loop also branches over its second half
+   on odd trips, so it has four blocks. *)
+type vcase = {
+  vc_trips : int option;
+  vc_body : M.t list;
+}
+
+let vcase_instrs c =
+  match c.vc_trips with
+  | None -> c.vc_body
+  | Some trips ->
+    let k = List.length c.vc_body / 2 in
+    let first = List.filteri (fun i _ -> i < k) c.vc_body
+    and second = List.filteri (fun i _ -> i >= k) c.vc_body in
+    [ M.Li (M.gpr 6, 0); M.Li (M.gpr 7, trips); M.Li (M.gpr 5, 1); M.Label 0 ]
+    @ first
+    @ [
+        M.Sop (Op.And, Src_type.I64, M.gpr 4, M.gpr 6, M.gpr 5);
+        M.Br (Op.Ne, M.gpr 4, M.gpr 3, 1);
+      ]
+    @ second
+    @ [
+        M.Label 1;
+        M.Sop (Op.Add, Src_type.I64, M.gpr 6, M.gpr 6, M.gpr 5);
+        M.Br (Op.Lt, M.gpr 6, M.gpr 7, 0);
+      ]
+
+let vcase_arrays () =
+  [ "a", Buffer_.init Src_type.I32 64 (fun i -> Value.Int ((i * 7919) - 200_000 + (i land 3))) ]
+
+(* [None] when the engines agree, else what differed. *)
+let vcase_disagreement c =
+  let _, (mem, r), (pmem, p) =
+    engines ~n_vr:4 ~arrays:(vcase_arrays ()) (vcase_instrs c)
+  in
+  let outcome = function
+    | Ok r ->
+      Printf.sprintf "%d cycles, %d instructions" r.Simulator.r_cycles
+        r.Simulator.r_instructions
+    | Error e -> Printexc.to_string e
+  in
+  if outcome r <> outcome p then
+    Some (Printf.sprintf "reference: %s; plan: %s" (outcome r) (outcome p))
+  else if not (Bytes.equal mem pmem) then Some "memory differs"
+  else None
+
+let print_vcase c =
+  Printf.sprintf "trips %s:\n%s"
+    (match c.vc_trips with None -> "none" | Some n -> string_of_int n)
+    (String.concat "\n" (List.map M.to_string c.vc_body))
+
+(* Each case draws most lane types from one type and its widening and
+   narrowing partners, and starts by loading every vector register and
+   setting the scalars, so that chains of packs, unpacks and widening
+   products are well-typed often enough to reach a store. *)
+let arb_vcase =
+  let open QCheck in
+  let gen =
+    Gen.(
+      gen_ty >>= fun t ->
+      let near = t :: List.filter_map Fun.id [ Src_type.widen t; Src_type.narrow t ] in
+      let ty = frequency [ 8, return t; 3, oneofl near; 1, gen_ty ] in
+      let load v =
+        map2
+          (fun t k -> M.VLoad (M.VM_aligned, t, M.vr v, { (M.plain_addr "a") with M.disp = 16 * k }))
+          ty (int_range 0 14)
+      in
+      let prologue =
+        flatten_l
+          [
+            load 0; load 1; load 2; load 3;
+            map (fun v -> M.Li (M.gpr 1, v)) (int_range (-40) 40);
+            map (fun v -> M.Li (M.gpr 2, v)) (int_range 1 9);
+            map (fun v -> M.Lfi (M.fpr 0, v)) (float_range (-8.) 8.);
+          ]
+      in
+      map3
+        (fun trips pro body -> { vc_trips = trips; vc_body = pro @ body })
+        (frequency [ 2, return None; 1, map Option.some (int_range 1 4) ])
+        prologue
+        (map List.concat (list_size (int_range 1 30) (gen_vinstrs ty))))
+  in
+  let shrink c =
+    Iter.(
+      map (fun body -> { c with vc_body = body }) (Shrink.list c.vc_body)
+      <+> (match c.vc_trips with
+          | None -> empty
+          | Some _ -> return { c with vc_trips = None }))
+  in
+  make ~print:print_vcase ~shrink gen
+
+let prop_register_file =
+  QCheck.Test.make ~count:20000 ~name:"plan = reference on random vector code"
+    arb_vcase (fun c ->
+      match vcase_disagreement c with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+(* Shrunk counterexamples, kept as named regressions. *)
+let named_vcases =
+  let r = M.vr and a = M.plain_addr "a" in
+  [
+    (* a pack whose destination is its second source: lane 0 of [b] is
+       overwritten before it is read *)
+    ( "pack into its second source",
+      {
+        vc_trips = None;
+        vc_body =
+          [
+            M.VLoad (M.VM_aligned, Src_type.I32, r 0, a);
+            M.VLoad (M.VM_aligned, Src_type.I32, r 1, { a with M.disp = 16 });
+            M.Vpack (Src_type.I32, r 1, r 0, r 1);
+            M.VStore (M.VM_aligned, Src_type.I16, a, r 1);
+          ];
+      } );
+    (* an extract reading its destination's low lanes after writing them *)
+    ( "extract from its own destination",
+      {
+        vc_trips = None;
+        vc_body =
+          [
+            M.VLoad (M.VM_aligned, Src_type.I16, r 2, { a with M.disp = 32 });
+            M.VLoad (M.VM_aligned, Src_type.I16, r 0, a);
+            M.Vextract (Src_type.I16, 3, 1, r 0, [ r 2; r 0 ]);
+            M.VStore (M.VM_aligned, Src_type.I16, a, r 0);
+          ];
+      } );
+    (* a spill, then an overwrite of the spilled register, then a reload *)
+    ( "reload after the source is overwritten",
+      {
+        vc_trips = Some 2;
+        vc_body =
+          [
+            M.VLoad (M.VM_aligned, Src_type.F32, r 0, a);
+            M.VSpill (1, r 0);
+            M.Mov (r 3, r 0);
+            M.VLoad (M.VM_aligned, Src_type.I8, r 0, { a with M.disp = 48 });
+            M.VReload (r 1, 1);
+            M.Vop (Op.Add, Src_type.F32, r 2, r 1, r 3);
+            M.VStore (M.VM_misaligned, Src_type.F32, { a with M.disp = 4 }, r 2);
+          ];
+      } );
+    (* one register at three lane types, then read at too many lanes *)
+    ( "lane-count mismatch after a widening",
+      {
+        vc_trips = None;
+        vc_body =
+          [
+            M.VLoad (M.VM_aligned, Src_type.I8, r 0, a);
+            M.Vunpack (M.Hi, Src_type.I8, r 0, r 0);
+            M.Vunpack (M.Lo, Src_type.I16, r 0, r 0);
+            M.Vop (Op.Add, Src_type.I16, r 1, r 0, r 0);
+          ];
+      } );
+    (* a permute whose destination is its second source: with token 1,
+       lane 1 reads lane 0 of [b] after lane 0 of the result replaced it *)
+    ( "permute into its second source",
+      {
+        vc_trips = None;
+        vc_body =
+          [
+            M.VLoad (M.VM_aligned, Src_type.I64, r 0, { a with M.disp = 96 });
+            M.VLoad (M.VM_aligned, Src_type.I32, r 2, { a with M.disp = 80 });
+            M.Lvsr (Src_type.I64, r 1, { a with M.disp = 25 });
+            M.Vperm (Src_type.I64, r 2, r 0, r 2, r 1);
+            M.VStore (M.VM_misaligned, Src_type.I64, a, r 2);
+          ];
+      } );
+    (* found by the generator: the lanes of an extract run past its one
+       part, so the plan must leave the fault to [exec] (it raised
+       "index out of bounds" while preparing instead) *)
+    ( "extract past its parts",
+      {
+        vc_trips = None;
+        vc_body = [ M.Vextract (Src_type.I32, 2, 2, r 1, [ r 2 ]) ];
+      } );
+    ( "reload of an undefined slot, then a read",
+      {
+        vc_trips = None;
+        vc_body = [ M.VReload (r 2, 3); M.Mov (r 1, r 2) ];
+      } );
+  ]
+
+let test_named_vcases () =
+  List.iter
+    (fun (name, c) ->
+      match vcase_disagreement c with
+      | None -> ()
+      | Some why -> fail (name ^ ": " ^ why))
+    named_vcases
+
+(* --- allocation per run does not grow with executed instructions ------- *)
+
+(* Every suite kernel, mono and gcc4cli, on the targets whose code the
+   plan runs without [exec]: minor words of one [run_plan] (after a first
+   run built the plan's state) are equal at scale 1 and scale 2, though
+   scale 2 executes about twice the instructions.  Not sve or avx512:
+   their predicated tails (VMaskedLoad, VMaskedStore) run [exec], which
+   allocates per execution. *)
+let test_allocation_flat () =
+  let module Suite = Vapor_kernels.Suite in
+  let module Flows = Vapor_harness.Flows in
+  let module Exec = Vapor_harness.Exec in
+  let module Compile = Vapor_jit.Compile in
+  let module Profile = Vapor_jit.Profile in
+  let words (plan : Simulator.plan) (entry : Suite.entry) scale =
+    let arrays, scalars = Exec.split_args (entry.Suite.args ~scale) in
+    let layout =
+      Layout.plan ~stack_bytes:65536 ~policy:Layout.aligned_policy arrays
+    in
+    let mem = Layout.materialize layout arrays in
+    let warm = Bytes.copy mem in
+    ignore (Simulator.run_plan plan layout warm ~scalar_args:scalars);
+    let w0 = Gc.minor_words () in
+    let r = Simulator.run_plan plan layout mem ~scalar_args:scalars in
+    Gc.minor_words () -. w0, r.Simulator.r_instructions
+  in
+  List.iter
+    (fun (target : Target.t) ->
+      List.iter
+        (fun (profile : Profile.t) ->
+          List.iter
+            (fun name ->
+              let entry = Suite.find name in
+              let vk =
+                (Flows.vectorized_bytecode entry).Vapor_vectorizer.Driver.vkernel
+              in
+              let plan = (Compile.compile ~target ~profile vk).Compile.plan in
+              let w1, n1 = words plan entry 1 and w2, n2 = words plan entry 2 in
+              if w1 <> w2 || n2 <= n1 then
+                fail
+                  (Printf.sprintf
+                     "%s %s %s: %.0f minor words over %d instructions at scale \
+                      1, %.0f over %d at scale 2"
+                     target.Target.name profile.Profile.name name w1 n1 w2 n2))
+            Suite.names)
+        [ Profile.mono; Profile.gcc4cli ])
+    [
+      Vapor_targets.Scalar_target.target; sse; Vapor_targets.Avx.target;
+      Vapor_targets.Neon.target; altivec;
+    ]
 
 (* --- cycle accounting --------------------------------------------------- *)
 
@@ -728,6 +1165,18 @@ let () =
           Alcotest.test_case "reduce+insert" `Quick test_vreduce_and_insert;
         ] );
       "faults", [ Alcotest.test_case "plan = reference" `Quick test_faults ];
+      ( "plan",
+        [
+          Alcotest.test_case "fuel at every position" `Quick
+            test_fuel_every_position;
+          Alcotest.test_case "f32 rounding edges" `Quick test_rounding_edges;
+          QCheck_alcotest.to_alcotest prop_rounding;
+          QCheck_alcotest.to_alcotest prop_register_file;
+          Alcotest.test_case "register-file regressions" `Quick
+            test_named_vcases;
+          Alcotest.test_case "allocation per run is flat" `Quick
+            test_allocation_flat;
+        ] );
       ( "cycles",
         [
           Alcotest.test_case "charged" `Quick test_cycles_charged;

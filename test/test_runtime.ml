@@ -386,6 +386,42 @@ let service_rejuvenation_case () =
   check_bool "hit rate survives rejuvenation" true
     (rp.Service.rp_hit_rate > 0.9)
 
+(* A shard builds each kernel's operands once per scale and hands every
+   event a copy.  saxpy_fp writes [y] in place, so a shard that handed an
+   event (or a caller) its pristine buffers would change what every later
+   event of that kernel and scale sees. *)
+let service_operands_case () =
+  let pool =
+    Service.pool_create (replay_cfg [ sse ]) ~kernels:[ "saxpy_fp" ]
+  in
+  let entry = Suite.find "saxpy_fp" in
+  let same (n1, a1) (n2, a2) =
+    String.equal n1 n2
+    &&
+    match a1, a2 with
+    | Eval.Array b1, Eval.Array b2 -> Buffer_.equal b1 b2
+    | Eval.Scalar v1, Eval.Scalar v2 -> Value.equal v1 v2
+    | Eval.Array _, Eval.Scalar _ | Eval.Scalar _, Eval.Array _ -> false
+  in
+  for i = 0 to 39 do
+    let scale = 1 + (i mod 2) in
+    ignore
+      (Service.shard_step pool ~shard:0
+         { Trace.ev_index = i; ev_kernel = "saxpy_fp"; ev_target = 0;
+           ev_scale = scale });
+    let seen =
+      Service.shard_operands pool ~shard:0 ~kernel:"saxpy_fp" ~scale
+    in
+    if not (List.for_all2 same (entry.Suite.args ~scale) seen) then
+      fail (Printf.sprintf "after event %d the operands differ from fresh ones" i);
+    (* write the copy in place, as a kernel does *)
+    List.iter
+      (function
+        | _, Eval.Array b -> Buffer_.set b 0 (Value.Float 1e9)
+        | _, Eval.Scalar _ -> ())
+      seen
+  done
+
 let () =
   Alcotest.run "runtime"
     [
@@ -421,5 +457,6 @@ let () =
           Alcotest.test_case "amortization" `Quick service_amortization_case;
           Alcotest.test_case "deterministic" `Quick service_deterministic_case;
           Alcotest.test_case "rejuvenation" `Quick service_rejuvenation_case;
+          Alcotest.test_case "operands are copies" `Quick service_operands_case;
         ] );
     ]

@@ -159,8 +159,11 @@ let rec iter_regs ~use ~def (i : t) =
     use b
   | Lib inner -> iter_regs ~use ~def inner
 
+(* An address naming no register comes back as is, shared. *)
 let map_addr f a =
-  { a with base = Option.map f a.base; index = Option.map f a.index }
+  match a.base, a.index with
+  | None, None -> a
+  | _ -> { a with base = Option.map f a.base; index = Option.map f a.index }
 
 (* Rewrite registers with [f]. *)
 let rec map_regs f (i : t) : t =

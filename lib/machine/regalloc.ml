@@ -229,6 +229,8 @@ type workspace = {
   mutable where : int array;
   mutable bucket : int array;
   mutable order : int array;
+  regs : Minstr.reg array array;  (* per class, by physical id *)
+  mutable stack : Minstr.addr array;  (* by stack slot offset / 8 *)
 }
 
 let workspace =
@@ -242,11 +244,47 @@ let workspace =
         where = [||];
         bucket = [||];
         order = [||];
+        regs = [| [||]; [||]; [||] |];
+        stack = [||];
       })
 
 (* [a] if it holds [n] ints, else a larger array (contents unspecified). *)
 let at_least a n =
   if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+(* [a] extended to hold index [i], new places filled by [make]. *)
+let grown a i make =
+  if i < Array.length a then a
+  else
+    let n = Array.length a in
+    Array.init (max (i + 1) (2 * n)) (fun j -> if j < n then a.(j) else make j)
+
+(* The output names each physical register with one record per class and
+   id, and each scalar spill slot with one address, kept in the
+   workspace from call to call (they are immutable).  So a rewritten
+   instruction holds no register record of its own, and neither does any
+   copy of the function that [Marshal] makes: the persistent store
+   unmarshals a body on every warm start.  [phys_regs ws c n] holds the
+   records of class [c]'s ids [0, n) at least; [stack_addrs ws n] the
+   addresses of the first [n] slots, slot [k] at displacement [8k]. *)
+let phys_regs ws c n =
+  if n > Array.length ws.regs.(c) then
+    ws.regs.(c) <-
+      grown ws.regs.(c) (n - 1) (fun j -> { Minstr.cls = classes.(c); id = j });
+  ws.regs.(c)
+
+let stack_addrs ws n =
+  if n > Array.length ws.stack then
+    ws.stack <-
+      grown ws.stack (n - 1) (fun j ->
+          {
+            Minstr.sym = "$stack";
+            base = None;
+            index = None;
+            scale = 1;
+            disp = j * slot_bytes;
+          });
+  ws.stack
 
 (* Rewrite a function to physical registers, inserting spill code.
    Returns the rewritten function. *)
@@ -352,14 +390,11 @@ let run (target : Target.t) (budget : budget) (f : Mfun.t) : Mfun.t =
      Vector spills use the simulator's dedicated slot file (VSpill). *)
   let fpr_off = slots.(0) * slot_bytes in
   let stack_bytes = fpr_off + (slots.(1) * slot_bytes) in
-  let slot_addr c slot =
-    {
-      Minstr.sym = "$stack";
-      base = None;
-      index = None;
-      scale = 1;
-      disp = (if c = 0 then 0 else fpr_off) + (slot * slot_bytes);
-    }
+  let stack = stack_addrs ws (slots.(0) + slots.(1)) in
+  let slot_addr c slot = stack.((if c = 0 then 0 else slots.(0)) + slot) in
+  (* registers a rewritten operand can name: allocated, then scratch *)
+  let phys =
+    Array.init 3 (fun c -> phys_regs ws c (usable.(c) + scratch_of c))
   in
   (* Vector spill slots start above any demotion slots already present. *)
   let vspill_base = f.Mfun.n_vspill in
@@ -404,7 +439,7 @@ let run (target : Target.t) (budget : budget) (f : Mfun.t) : Mfun.t =
   let rewrite (reg : Minstr.reg) =
     let rk = key reg in
     let w = where.(rk) in
-    if w >= 0 then { reg with Minstr.id = w }
+    if w >= 0 then phys.(cls_index reg.Minstr.cls).(w)
     else scratch.(first_with ops ~first:!cur rk - !cur)
   in
   for pc = 0 to n - 1 do
@@ -423,7 +458,7 @@ let run (target : Target.t) (budget : budget) (f : Mfun.t) : Mfun.t =
             next_scratch.(c) <- s + 1;
             if s >= scratch_of c then
               invalid_arg "regalloc: out of scratch registers";
-            let reg = { Minstr.cls = classes.(c); id = usable.(c) + s } in
+            let reg = phys.(c).(usable.(c) + s) in
             scratch.(i - !cur) <- reg;
             if k land 1 = 0 then emit (spill_load k reg)
           end
@@ -446,7 +481,8 @@ let run (target : Target.t) (budget : budget) (f : Mfun.t) : Mfun.t =
         | Mfun.In_reg reg ->
           let rk = param_key reg in
           let w = if rk < 0 then 0 (* never touched *) else where.(rk) in
-          if w >= 0 then name, sty, Mfun.In_reg { reg with Minstr.id = w }
+          if w >= 0 then
+            name, sty, Mfun.In_reg phys.(cls_index reg.Minstr.cls).(w)
           else
             let c = key_cls base rk in
             ( name,

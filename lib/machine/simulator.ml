@@ -569,19 +569,6 @@ type plan = {
 
 let plan_target p = p.p_target
 
-(* Collect the address symbols an instruction can reference. *)
-let rec addr_syms (i : Minstr.t) : string list =
-  match i with
-  | Minstr.Lea (_, a)
-  | Minstr.Load (_, _, a)
-  | Minstr.Store (_, a, _)
-  | Minstr.VLoad (_, _, _, a)
-  | Minstr.VStore (_, _, a, _)
-  | Minstr.Lvsr (_, _, a) ->
-    if a.Minstr.sym = "" then [] else [ a.Minstr.sym ]
-  | Minstr.Lib inner -> addr_syms inner
-  | _ -> []
-
 (* --- lane arithmetic ------------------------------------------------------
    Each function below reproduces a [Value] or [Layout] operation on raw
    ints and floats, so plan closures never build a [Value.t]. *)
@@ -757,48 +744,96 @@ let copy_reg st s d =
   | _ -> ());
   st.vt.(d) <- t
 
+(* The address symbol an instruction reads or writes through, or "". *)
+let rec addr_sym (i : Minstr.t) =
+  match i with
+  | Minstr.Lea (_, a)
+  | Minstr.Load (_, _, a)
+  | Minstr.Store (_, a, _)
+  | Minstr.VLoad (_, _, _, a)
+  | Minstr.VStore (_, _, a, _)
+  | Minstr.Lvsr (_, _, a)
+  | Minstr.VMaskedLoad (_, _, _, a)
+  | Minstr.VMaskedStore (_, a, _, _) ->
+    a.Minstr.sym
+  | Minstr.Lib inner -> addr_sym inner
+  | _ -> ""
+
 let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   let stage_t0 = Vapor_obs.Stage.start () in
   let instrs = f.Mfun.instrs in
+  let n = Array.length instrs in
   (* Symbol interning: bases are resolved once per run, lazily faulting
-     with Layout.base_of's own exception only where [run] would. *)
-  let sym_tbl = Hashtbl.create 8 in
-  let sym_rev = ref [] in
+     with Layout.base_of's own exception only where [run] would.  A
+     function names a handful of arrays, so a linear scan of a small
+     array finds a symbol sooner than hashing its name. *)
+  let syms = ref (Array.make 8 "") and n_syms = ref 0 in
   let intern s =
-    match Hashtbl.find_opt sym_tbl s with
-    | Some k -> k
-    | None ->
-      let k = Hashtbl.length sym_tbl in
-      Hashtbl.add sym_tbl s k;
-      sym_rev := s :: !sym_rev;
-      k
+    let a = !syms and k = ref 0 in
+    while !k < !n_syms && not (String.equal a.(!k) s) do
+      incr k
+    done;
+    if !k = !n_syms then begin
+      if !k = Array.length a then syms := Array.append a a;
+      !syms.(!k) <- s;
+      incr n_syms
+    end;
+    !k
   in
-  Array.iter (fun ins -> List.iter (fun s -> ignore (intern s)) (addr_syms ins))
-    instrs;
-  let p_syms = Array.of_list (List.rev !sym_rev) in
-  let p_bases = Array.make (max 1 (Array.length p_syms)) min_int in
-  (* Label resolution (once, not per run). *)
-  let labels = Hashtbl.create 16 in
-  Array.iteri
-    (fun pc ins ->
-      match ins with
-      | Minstr.Label l -> Hashtbl.replace labels l pc
-      | _ -> ())
-    instrs;
-  (* Per-pc cycle cost with the x87 blending [run] applies inline. *)
+  (* Labels are a function's dense [fresh_label] counters: pcs by label
+     in an int array (-1 where undefined), any label outside
+     [0, 2n + 16] in a list.  A redefined label resolves to its last
+     definition, as in [run]. *)
+  let dense = ref (Array.make 16 (-1)) and sparse = ref [] in
+  let define_label l pc =
+    if l < 0 || l > (2 * n) + 16 then sparse := (l, pc) :: !sparse
+    else begin
+      let a = !dense in
+      if l >= Array.length a then begin
+        dense := Array.make (max (l + 1) (2 * Array.length a)) (-1);
+        Array.blit a 0 !dense 0 (Array.length a)
+      end;
+      !dense.(l) <- pc
+    end
+  in
+  let label_pc l =
+    let a = !dense in
+    if l >= 0 && l < Array.length a then a.(l)
+    else Option.value ~default:(-1) (List.assoc_opt l !sparse)
+  in
+  (* One pass over the function: per-pc cycle cost with the x87 blending
+     [run] applies inline, labels, symbols, and the instructions naming a
+     vector register or spill slot outside the file, which run [exec]
+     (it raises what indexing a per-class array raised). *)
   let x87 = f.Mfun.fp_unit = Mfun.Fp_x87 in
-  let p_cost =
-    Array.map
-      (fun ins ->
-        if x87 && is_scalar_fp ins then target.Target.costs.Target.c_x87_fp_op
-        else Minstr.cost target ins)
-      instrs
+  let x87_cost = target.Target.costs.Target.c_x87_fp_op in
+  let n_vr = max 1 f.Mfun.n_vr and n_slots = max 1 f.Mfun.n_vspill in
+  let p_cost = Array.make n 0 and outside = Bytes.make n '\000' in
+  let at = ref 0 in
+  let check (r : Minstr.reg) =
+    if r.Minstr.cls = Minstr.VR && (r.Minstr.id < 0 || r.Minstr.id >= n_vr)
+    then Bytes.unsafe_set outside !at '\001'
   in
+  for pc = 0 to n - 1 do
+    let ins = instrs.(pc) in
+    p_cost.(pc) <-
+      (if x87 && is_scalar_fp ins then x87_cost else Minstr.cost target ins);
+    at := pc;
+    Minstr.iter_regs ~use:check ~def:check ins;
+    match ins with
+    | Minstr.Label l -> define_label l pc
+    | Minstr.VSpill (s, _) | Minstr.VReload (_, s) ->
+      if s < 0 || s >= n_slots then Bytes.set outside pc '\001'
+    | _ ->
+      let s = addr_sym ins in
+      if s <> "" then ignore (intern s : int)
+  done;
+  let p_syms = Array.sub !syms 0 !n_syms in
+  let p_bases = Array.make (max 1 !n_syms) min_int in
   (* Basic blocks: leaders are pc 0, every label and every pc after a
      jump or branch.  Each pc records the instructions and cycles left in
      its block, so [run_plan] charges a block at once and can still enter
      one mid-way when it steps against the fuel limit. *)
-  let n = Array.length instrs in
   let p_blen = Array.make n 0 and p_bcost = Array.make n 0 in
   for pc = n - 1 downto 0 do
     let ends =
@@ -840,31 +875,19 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         let ib = reg_index b and ii = reg_index i and sc = a.Minstr.scale in
         fun st -> st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
     else begin
-      let k = intern a.Minstr.sym in
-      let sym = a.Minstr.sym in
-      let sym_fn st = sym_base st k sym in
+      let k = intern a.Minstr.sym and sym = a.Minstr.sym in
       match a.Minstr.base, a.Minstr.index with
-      | None, None -> fun st -> sym_fn st + disp
+      | None, None -> fun st -> sym_base st k sym + disp
       | Some b, None ->
         let ib = reg_index b in
-        fun st -> sym_fn st + st.gpr.(ib) + disp
+        fun st -> sym_base st k sym + st.gpr.(ib) + disp
       | None, Some i ->
         let ii = reg_index i and sc = a.Minstr.scale in
-        fun st -> sym_fn st + (st.gpr.(ii) * sc) + disp
+        fun st -> sym_base st k sym + (st.gpr.(ii) * sc) + disp
       | Some b, Some i ->
         let ib = reg_index b and ii = reg_index i and sc = a.Minstr.scale in
-        fun st -> sym_fn st + st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
+        fun st -> sym_base st k sym + st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
     end
-  in
-  (* A symbol plus a displacement — the stack slots the mono profile
-     spills every scalar through — is most memory operands: the i64 and
-     f64 loads and stores below read such an address inline instead of
-     calling an address closure. *)
-  let spill_addr (a : Minstr.addr) =
-    match a.Minstr.base, a.Minstr.index with
-    | None, None when a.Minstr.sym <> "" ->
-      Some (intern a.Minstr.sym, a.Minstr.sym, a.Minstr.disp)
-    | _ -> None
   in
   let vs = target.Target.vs in
   let lanes_of ty = max 1 (vs / Src_type.size_of ty) in
@@ -872,25 +895,8 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   (* The register file [make_state] builds for this plan: vector register
      r's lanes start at [r * vw], spill slot s is storage register
      [n_vr + s], and the scratch register comes last. *)
-  let n_vr = max 1 f.Mfun.n_vr and n_slots = max 1 f.Mfun.n_vspill in
   let vw = lanes_per_reg target in
   let scratch = (n_vr + n_slots) * vw in
-  (* Instructions naming a vector register or spill slot outside the file
-     run [exec], which raises what indexing a per-class array raised. *)
-  let outside = Array.make n false and at = ref 0 in
-  let check (r : Minstr.reg) =
-    if r.Minstr.cls = Minstr.VR && (r.Minstr.id < 0 || r.Minstr.id >= n_vr)
-    then outside.(!at) <- true
-  in
-  Array.iteri
-    (fun pc i ->
-      at := pc;
-      Minstr.iter_regs ~use:check ~def:check i;
-      match i with
-      | Minstr.VSpill (s, _) | Minstr.VReload (_, s) ->
-        if s < 0 || s >= n_slots then outside.(pc) <- true
-      | _ -> ())
-    instrs;
   (* Does a loop writing lane l at [d] after reading lane [src.(l)] read
      a lane it has already written? *)
   let overwrites d src =
@@ -898,95 +904,98 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
     Array.iteri (fun l x -> if x >= d && x < d + l then hit := true) src;
     !hit
   in
+  (* The helpers below are shared by every instruction's action; each
+     takes the instruction [ins] and the pc [next] after it. *)
+  let fallback ins next st =
+    exec st ins;
+    next
+  in
+  (* The shape combinator: [body st] runs when each vector register of
+     [srcs] fits its paired minimal tag — lanes of that class, at least
+     that many.  Any other shape (undefined, the other class, too few
+     lanes) runs [exec] instead, so the fault or result is the
+     reference's own. *)
+  let shaped ins next srcs (body : state -> unit) =
+    match srcs with
+    | [ (a, ta) ] ->
+      fun st ->
+        if fits st.vt.(a) ta then body st else exec st ins;
+        next
+    | [ (a, ta); (b, tb) ] ->
+      fun st ->
+        if fits st.vt.(a) ta && fits st.vt.(b) tb then body st
+        else exec st ins;
+        next
+    | srcs ->
+      let regs = Array.of_list (List.map fst srcs)
+      and tmin = Array.of_list (List.map snd srcs) in
+      fun st ->
+        let ok = ref true in
+        for j = 0 to Array.length regs - 1 do
+          if not (fits st.vt.(regs.(j)) tmin.(j)) then ok := false
+        done;
+        if !ok then body st else exec st ins;
+        next
+  in
+  (* A gather arm from the registers [regs] along [(sj, si)] at type
+     [ty] into [id] at type [into]: each source must hold the lanes the
+     map reads, and a result that would overwrite a lane still to be
+     read goes through scratch.  A map reaching past [regs] (an extract
+     whose lanes run beyond its parts) runs [exec], which faults. *)
+  let gather_arm ins next regs (sj, si) ty into id =
+    let m = Array.length sj and k = Array.length regs in
+    if Array.exists (fun j -> j < 0 || j >= k) sj || Array.exists (fun i -> i < 0) si
+    then fallback ins next
+    else begin
+    let src = Array.init m (fun l -> (regs.(sj.(l)) * vw) + si.(l)) in
+    let need = Array.make k 0 in
+    Array.iteri (fun l j -> need.(j) <- max need.(j) (si.(l) + 1)) sj;
+    let tag_of = if Src_type.is_float ty then float_tag else int_tag in
+    let srcs = List.mapi (fun j r -> r, tag_of need.(j)) (Array.to_list regs) in
+    let od = id * vw in
+    let through = overwrites od src in
+    let dst = if through then scratch else od in
+    if Src_type.is_float ty then
+      let n32 = into = Src_type.F32 and tag = float_tag m in
+      shaped ins next srcs (fun st ->
+          let vf = st.vf in
+          gather_float vf st.f32 n32 src dst;
+          if through then
+            for l = 0 to m - 1 do
+              vf.(od + l) <- vf.(scratch + l)
+            done;
+          st.vt.(id) <- tag)
+    else
+      let from = norm_consts ty and into = norm_consts into in
+      let tag = int_tag m in
+      shaped ins next srcs (fun st ->
+          let vi = st.vi in
+          gather vi from into src dst;
+          if through then
+            for l = 0 to m - 1 do
+              vi.(od + l) <- vi.(scratch + l)
+            done;
+          st.vt.(id) <- tag)
+    end
+  in
   (* Every action reproduces exec's semantics (normalization, raw register
      reads, fault messages) expression for expression.  [next] is pc+1. *)
   let rec compile_action pc (ins : Minstr.t) : state -> int =
     let next = pc + 1 in
-    let fallback st = exec st ins; next in
-    (* The shape combinator: [body st] runs when each vector register of
-       [srcs] fits its paired minimal tag — lanes of that class, at least
-       that many.  Any other shape (undefined, the other class, too few
-       lanes) runs [exec] instead, so the fault or result is the
-       reference's own. *)
-    let shaped srcs (body : state -> unit) =
-      match srcs with
-      | [ (a, ta) ] ->
-        fun st ->
-          if fits st.vt.(a) ta then body st else exec st ins;
-          next
-      | [ (a, ta); (b, tb) ] ->
-        fun st ->
-          if fits st.vt.(a) ta && fits st.vt.(b) tb then body st
-          else exec st ins;
-          next
-      | srcs ->
-        let regs = Array.of_list (List.map fst srcs)
-        and tmin = Array.of_list (List.map snd srcs) in
-        fun st ->
-          let ok = ref true in
-          for j = 0 to Array.length regs - 1 do
-            if not (fits st.vt.(regs.(j)) tmin.(j)) then ok := false
-          done;
-          if !ok then body st else exec st ins;
-          next
-    in
-    (* A gather arm from the registers [regs] along [(sj, si)] at type
-       [ty] into [id] at type [into]: each source must hold the lanes the
-       map reads, and a result that would overwrite a lane still to be
-       read goes through scratch.  A map reaching past [regs] (an extract
-       whose lanes run beyond its parts) runs [exec], which faults. *)
-    let gather_arm regs (sj, si) ty into id =
-      let m = Array.length sj and k = Array.length regs in
-      if Array.exists (fun j -> j < 0 || j >= k) sj || Array.exists (fun i -> i < 0) si
-      then fallback
-      else begin
-      let src = Array.init m (fun l -> (regs.(sj.(l)) * vw) + si.(l)) in
-      let need = Array.make k 0 in
-      Array.iteri (fun l j -> need.(j) <- max need.(j) (si.(l) + 1)) sj;
-      let tag_of = if Src_type.is_float ty then float_tag else int_tag in
-      let srcs = List.mapi (fun j r -> r, tag_of need.(j)) (Array.to_list regs) in
-      let od = id * vw in
-      let through = overwrites od src in
-      let dst = if through then scratch else od in
-      if Src_type.is_float ty then
-        let n32 = into = Src_type.F32 and tag = float_tag m in
-        shaped srcs (fun st ->
-            let vf = st.vf in
-            gather_float vf st.f32 n32 src dst;
-            if through then
-              for l = 0 to m - 1 do
-                vf.(od + l) <- vf.(scratch + l)
-              done;
-            st.vt.(id) <- tag)
-      else
-        let from = norm_consts ty and into = norm_consts into in
-        let tag = int_tag m in
-        shaped srcs (fun st ->
-            let vi = st.vi in
-            gather vi from into src dst;
-            if through then
-              for l = 0 to m - 1 do
-                vi.(od + l) <- vi.(scratch + l)
-              done;
-            st.vt.(id) <- tag)
-      end
-    in
-    if outside.(pc) then fallback
+    if Bytes.get outside pc = '\001' then fallback ins next
     else
     match ins with
     | Minstr.Label _ -> fun _ -> next
     | Minstr.Jmp l -> (
-      match Hashtbl.find_opt labels l with
-      | Some t -> fun _ -> t
-      | None -> fun _ -> faultf "undefined label %d" l)
+      match label_pc l with
+      | -1 -> fun _ -> faultf "undefined label %d" l
+      | t -> fun _ -> t)
     | Minstr.Br (op, a, b, l) -> (
       let ia = reg_index a and ib = reg_index b in
-      let target_pc = Hashtbl.find_opt labels l in
+      let target_pc = label_pc l in
       let goto taken =
         if taken then
-          match target_pc with
-          | Some t -> t
-          | None -> faultf "undefined label %d" l
+          if target_pc < 0 then faultf "undefined label %d" l else target_pc
         else next
       in
       (* Br compares at I64, where normalization is the identity: the six
@@ -1045,14 +1054,14 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let nm, ns = norm_consts ty in
       match int_unop op with
       | Some g -> fun st -> st.gpr.(id) <- norm nm ns (g st.gpr.(is) 0); next
-      | None -> fallback)
+      | None -> fallback ins next)
     | Minstr.Sunop (op, ty, d, s) -> (
       let id = reg_index d and is = reg_index s and n32 = ty = Src_type.F32 in
       match op with
       | Op.Neg -> fun st -> st.fpr.(id) <- round st.f32 n32 (-.st.fpr.(is)); next
       | Op.Abs -> fun st -> st.fpr.(id) <- round st.f32 n32 (Float.abs st.fpr.(is)); next
       | Op.Sqrt -> fun st -> st.fpr.(id) <- round st.f32 n32 (Float.sqrt st.fpr.(is)); next
-      | Op.Not -> fallback)
+      | Op.Not -> fallback ins next)
     | Minstr.Cvt (t1, t2, d, s) -> (
       let id = reg_index d and is = reg_index s in
       let n32 = t2 = Src_type.F32 in
@@ -1074,14 +1083,21 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       (* Unboxed reads, same byte formats as [Layout.read_value]; i64 (the
          spill width) is the hottest instruction of all. *)
       let id = reg_index d and sz = Src_type.size_of ty in
-      match ty, spill_addr a with
-      | Src_type.I64, Some (k, sym, disp) ->
+      (* A symbol plus a displacement — the stack slots the mono profile
+         spills every scalar through — is most memory operands: i64 and
+         f64 loads and stores read such an address inline instead of
+         calling an address closure. *)
+      let sym = a.Minstr.sym and disp = a.Minstr.disp in
+      match ty, a.Minstr.base, a.Minstr.index with
+      | Src_type.I64, None, None when sym <> "" ->
+        let k = intern sym in
         fun st ->
           let addr = sym_base st k sym + disp in
           check_bounds st addr sz "load";
           st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
           next
-      | Src_type.F64, Some (k, sym, disp) ->
+      | Src_type.F64, None, None when sym <> "" ->
+        let k = intern sym in
         fun st ->
           let addr = sym_base st k sym + disp in
           check_bounds st addr sz "load";
@@ -1114,14 +1130,17 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
     | Minstr.Store (ty, a, s) -> (
       (* Unboxed writes, same byte formats as [Layout.write_value]. *)
       let is = reg_index s and sz = Src_type.size_of ty in
-      match ty, spill_addr a with
-      | Src_type.I64, Some (k, sym, disp) ->
+      let sym = a.Minstr.sym and disp = a.Minstr.disp in
+      match ty, a.Minstr.base, a.Minstr.index with
+      | Src_type.I64, None, None when sym <> "" ->
+        let k = intern sym in
         fun st ->
           let addr = sym_base st k sym + disp in
           check_bounds st addr sz "store";
           Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
           next
-      | Src_type.F64, Some (k, sym, disp) ->
+      | Src_type.F64, None, None when sym <> "" ->
+        let k = intern sym in
         fun st ->
           let addr = sym_base st k sym + disp in
           check_bounds st addr sz "store";
@@ -1164,7 +1183,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       (* Lib executes its payload; control flow inside Lib is as illegal
          here as in exec (assert false), so route it through exec. *)
       match inner with
-      | Minstr.Label _ | Minstr.Jmp _ | Minstr.Br _ -> fallback
+      | Minstr.Label _ | Minstr.Jmp _ | Minstr.Br _ -> fallback ins next
       | _ -> compile_action pc inner)
     | Minstr.VLoad (k, ty, d, a) ->
       let id = reg_index d in
@@ -1307,7 +1326,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
           st.vt.(id) <- tag;
           next
     (* Float lanes: the lanewise loop, the reduction and Vinsert, each with
-       its shape check and fallback written out; the op is chosen per lane
+       its shape check and fallback ins next written out; the op is chosen per lane
        by [float_binop]'s inlined match. *)
     | Minstr.Vop (op, ty, d, a, b)
       when Src_type.is_float ty && not (Op.is_bitwise op) ->
@@ -1365,7 +1384,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let m = lanes_of ty and nm, ns = norm_consts ty in
       let f = int_binop op ty and tag = int_tag m in
       let od = id * vw and oa = ia * vw and ob = ib * vw in
-      shaped [ ia, tag; ib, tag ] (fun st ->
+      shaped ins next [ ia, tag; ib, tag ] (fun st ->
           int_lanes st.vi m nm ns f oa ob od;
           st.vt.(id) <- tag)
     | Minstr.Vunop (op, ty, d, s) when not (Src_type.is_float ty) -> (
@@ -1374,10 +1393,10 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let od = id * vw and os = is * vw and tag = int_tag m in
       match int_unop op with
       | Some f ->
-        shaped [ is, tag ] (fun st ->
+        shaped ins next [ is, tag ] (fun st ->
             int_lanes st.vi m nm ns f os os od;
             st.vt.(id) <- tag)
-      | None -> fallback)
+      | None -> fallback ins next)
     | Minstr.Vshift (((Op.Shl | Op.Shr) as op), ty, d, s, amt)
       when not (Src_type.is_float ty) ->
       (* [exec] shifts every lane by the raw GPR; normalizing the amount at
@@ -1386,7 +1405,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let m = lanes_of ty and nm, ns = norm_consts ty in
       let f = int_binop op ty and od = id * vw and os = is * vw in
       let tag = int_tag m in
-      shaped [ is, tag ] (fun st ->
+      shaped ins next [ is, tag ] (fun st ->
           let vi = st.vi and y = norm nm ns st.gpr.(iamt) in
           for l = 0 to m - 1 do
             vi.(od + l) <- norm nm ns (f (norm nm ns vi.(os + l)) y)
@@ -1396,30 +1415,30 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let id = reg_index d and is = reg_index s in
       let m = lanes_of ty and nm, ns = norm_consts ty in
       let f = int_binop op ty and os = is * vw in
-      shaped [ is, int_tag m ] (fun st ->
+      shaped ins next [ is, int_tag m ] (fun st ->
           st.gpr.(id) <- int_reduce st.vi m nm ns f os)
     | Minstr.Vunpack (h, ty, d, s) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
-      | None -> fallback (* widen_exn faults at execution *)
+      | None -> fallback ins next (* widen_exn faults at execution *)
       | Some w ->
         let m = lanes_of ty in
-        gather_arm [| reg_index s |]
+        gather_arm ins next [| reg_index s |]
           (lane_map ~first:(half_off h m) m (m / 2))
           ty w (reg_index d))
     | Minstr.Vpack (ty, d, a, b) when not (Src_type.is_float ty) -> (
       match Src_type.narrow ty with
-      | None -> fallback (* narrow_exn faults at execution *)
+      | None -> fallback ins next (* narrow_exn faults at execution *)
       | Some n ->
         let m = lanes_of ty in
-        gather_arm [| reg_index a; reg_index b |] (lane_map m (2 * m)) ty n
+        gather_arm ins next [| reg_index a; reg_index b |] (lane_map m (2 * m)) ty n
           (reg_index d))
     | Minstr.Vcvt (t1, t2, d, s)
       when not (Src_type.is_float t1 || Src_type.is_float t2) ->
       let m = lanes_of t1 in
-      gather_arm [| reg_index s |] (lane_map m m) t1 t2 (reg_index d)
+      gather_arm ins next [| reg_index s |] (lane_map m m) t1 t2 (reg_index d)
     | Minstr.Vextract (ty, stride, offset, d, parts) ->
       let m = lanes_of ty in
-      gather_arm
+      gather_arm ins next
         (Array.of_list (List.map reg_index parts))
         (lane_map ~first:offset ~stride m m)
         ty ty (reg_index d)
@@ -1427,7 +1446,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       (* lane l is lane [off + l/2] of [a] (even l) or [b] (odd l) *)
       let m = lanes_of ty in
       let off = half_off h m in
-      gather_arm [| reg_index a; reg_index b |]
+      gather_arm ins next [| reg_index a; reg_index b |]
         (Array.init m (fun l -> l mod 2), Array.init m (fun l -> off + (l / 2)))
         ty ty (reg_index d)
     | Minstr.Vinsert (ty, d, v, n, s)
@@ -1437,7 +1456,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let m = lanes_of ty and nm, ns = norm_consts ty in
       let need = if n = m - 1 then m - 1 else m in
       let od = id * vw and ov = iv * vw and tag = int_tag m in
-      shaped [ iv, int_tag need ] (fun st ->
+      shaped ins next [ iv, int_tag need ] (fun st ->
           let vi = st.vi and x = norm nm ns st.gpr.(is) in
           for l = 0 to m - 1 do
             vi.(od + l) <- (if l = n then x else norm nm ns vi.(ov + l))
@@ -1448,7 +1467,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
        write in place. *)
     | Minstr.Vwidenmul (h, ty, d, a, b) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
-      | None -> fallback
+      | None -> fallback ins next
       | Some w ->
         let id = reg_index d and ia = reg_index a and ib = reg_index b in
         let m = lanes_of ty in
@@ -1457,7 +1476,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         let oa = (ia * vw) + first and ob = (ib * vw) + first in
         let od = id * vw and tag = int_tag half in
         let tmin = int_tag (first + half) in
-        shaped [ ia, tmin; ib, tmin ] (fun st ->
+        shaped ins next [ ia, tmin; ib, tmin ] (fun st ->
             let vi = st.vi in
             for l = 0 to half - 1 do
               let x = norm wm ws (norm nm ns vi.(oa + l))
@@ -1467,7 +1486,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             st.vt.(id) <- tag))
     | Minstr.Vdot (ty, d, a, b, acc) when not (Src_type.is_float ty) -> (
       match Src_type.widen ty with
-      | None -> fallback
+      | None -> fallback ins next
       | Some w ->
         (* lane l is acc.(l) + (p0 + p1) at w, the products of the widened
            lanes 2l and 2l+1 *)
@@ -1479,7 +1498,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         let oa = ia * vw and ob = ib * vw and oc = ic * vw in
         let od = id * vw and tag = int_tag half in
         let tp = int_tag (2 * half) in
-        shaped [ ia, tp; ib, tp; ic, tag ] (fun st ->
+        shaped ins next [ ia, tp; ib, tp; ic, tag ] (fun st ->
             let vi = st.vi in
             for l = 0 to half - 1 do
               let i = 2 * l in
@@ -1506,7 +1525,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       match Src_type.is_float t1, Src_type.is_float t2 with
       | false, true ->
         let nm, ns = norm_consts t1 and tag = float_tag m in
-        shaped [ is, int_tag m ] (fun st ->
+        shaped ins next [ is, int_tag m ] (fun st ->
             let vf = st.vf and vi = st.vi and c = st.f32 in
             for l = 0 to m - 1 do
               vf.(od + l) <- round c n2 (float_of_int (norm nm ns vi.(os + l)))
@@ -1514,7 +1533,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             st.vt.(id) <- tag)
       | true, false ->
         let dm, ds = norm_consts t2 and tag = int_tag m in
-        shaped [ is, float_tag m ] (fun st ->
+        shaped ins next [ is, float_tag m ] (fun st ->
             let vf = st.vf and vi = st.vi and c = st.f32 in
             for l = 0 to m - 1 do
               let x = round c n1 vf.(os + l) in
@@ -1523,13 +1542,13 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             st.vt.(id) <- tag)
       | true, true ->
         let tag = float_tag m in
-        shaped [ is, tag ] (fun st ->
+        shaped ins next [ is, tag ] (fun st ->
             let vf = st.vf and c = st.f32 in
             for l = 0 to m - 1 do
               vf.(od + l) <- round c n2 (round c n1 vf.(os + l))
             done;
             st.vt.(id) <- tag)
-      | false, false -> fallback (* the int gather arm above *))
+      | false, false -> fallback ins next (* the int gather arm above *))
     (* Comparisons into a GPR or an int mask: 0/1 on raw scalar registers,
        on normalized int lanes, on rounded float lanes. *)
     | Minstr.Scmp (op, ty, d, a, b) when Op.is_comparison op ->
@@ -1549,7 +1568,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       let m = lanes_of ty and od = id * vw and oa = ia * vw and ob = ib * vw in
       let n32 = ty = Src_type.F32 and tmin = float_tag m and tag = int_tag m in
-      shaped [ ia, tmin; ib, tmin ] (fun st ->
+      shaped ins next [ ia, tmin; ib, tmin ] (fun st ->
           let vf = st.vf and vi = st.vi and c = st.f32 in
           for l = 0 to m - 1 do
             vi.(od + l) <-
@@ -1564,7 +1583,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let od = id * vw and om = im * vw and oa = ia * vw and ob = ib * vw in
       if Src_type.is_float ty then
         let n32 = ty = Src_type.F32 and tag = float_tag m in
-        shaped [ im, int_tag m; ia, tag; ib, tag ] (fun st ->
+        shaped ins next [ im, int_tag m; ia, tag; ib, tag ] (fun st ->
             let vf = st.vf and vi = st.vi and c = st.f32 in
             for l = 0 to m - 1 do
               vf.(od + l) <- round c n32 (if vi.(om + l) <> 0 then vf.(oa + l) else vf.(ob + l))
@@ -1572,7 +1591,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             st.vt.(id) <- tag)
       else
         let nm, ns = norm_consts ty and tag = int_tag m in
-        shaped [ im, tag; ia, tag; ib, tag ] (fun st ->
+        shaped ins next [ im, tag; ia, tag; ib, tag ] (fun st ->
             let vi = st.vi in
             for l = 0 to m - 1 do
               vi.(od + l) <- norm nm ns (if vi.(om + l) <> 0 then vi.(oa + l) else vi.(ob + l))
@@ -1631,10 +1650,104 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         end
         else exec st ins;
         next
+    (* Predicated accesses (the sve and avx512 loop tails): no alignment
+       requirement, the int mask read in place, and only active lanes
+       bounds-checked, in lane order as [exec] does.  An inactive lane
+       loads as zero or leaves memory untouched.  A mask or store source
+       of another shape (undefined, float lanes, too few lanes, or a
+       store source of the wrong lane count) runs [exec].  A load writes
+       lane l after reading mask lane l, so its mask may be [d]. *)
+    | Minstr.VMaskedLoad (ty, d, mask, a) ->
+      let id = reg_index d and im = reg_index mask in
+      let ea_of = compile_addr a in
+      let m = lanes_of ty and esize = Src_type.size_of ty in
+      let od = id * vw and om = im * vw and tmask = int_tag m in
+      if Src_type.is_float ty then
+        let n32 = ty = Src_type.F32 and tag = float_tag m in
+        fun st ->
+          if fits st.vt.(im) tmask then begin
+            let ea = ea_of st and vi = st.vi and vf = st.vf in
+            for l = 0 to m - 1 do
+              if vi.(om + l) <> 0 then begin
+                let la = ea + (l * esize) in
+                check_bounds st la esize "masked vector load";
+                vf.(od + l) <- read_float n32 st.mem la
+              end
+              else vf.(od + l) <- 0.0
+            done;
+            st.vt.(id) <- tag
+          end
+          else exec st ins;
+          next
+      else
+        let nm, ns = norm_consts ty and tag = int_tag m in
+        fun st ->
+          if fits st.vt.(im) tmask then begin
+            let ea = ea_of st and vi = st.vi in
+            for l = 0 to m - 1 do
+              if vi.(om + l) <> 0 then begin
+                let la = ea + (l * esize) in
+                check_bounds st la esize "masked vector load";
+                vi.(od + l) <- norm nm ns (read_int esize st.mem la)
+              end
+              else vi.(od + l) <- 0
+            done;
+            st.vt.(id) <- tag
+          end
+          else exec st ins;
+          next
+    | Minstr.VMaskedStore (ty, a, mask, s) ->
+      let im = reg_index mask and is = reg_index s in
+      let ea_of = compile_addr a in
+      let m = lanes_of ty and esize = Src_type.size_of ty in
+      let om = im * vw and os = is * vw and tmask = int_tag m in
+      if Src_type.is_float ty then
+        let n32 = ty = Src_type.F32 and tag = float_tag m in
+        fun st ->
+          if fits st.vt.(im) tmask && st.vt.(is) = tag then begin
+            let ea = ea_of st and vi = st.vi and vf = st.vf in
+            for l = 0 to m - 1 do
+              if vi.(om + l) <> 0 then begin
+                let la = ea + (l * esize) in
+                check_bounds st la esize "masked vector store";
+                write_float n32 st.mem la vf.(os + l)
+              end
+            done
+          end
+          else exec st ins;
+          next
+      else
+        let tag = int_tag m in
+        fun st ->
+          if fits st.vt.(im) tmask && st.vt.(is) = tag then begin
+            let ea = ea_of st and vi = st.vi in
+            for l = 0 to m - 1 do
+              if vi.(om + l) <> 0 then begin
+                let la = ea + (l * esize) in
+                check_bounds st la esize "masked vector store";
+                write_int esize st.mem la vi.(os + l)
+              end
+            done
+          end
+          else exec st ins;
+          next
+    (* The lane-index vector the predicated tails build their masks
+       from: lane l is [x + l * inc], normalized. *)
+    | Minstr.Viota (ty, d, s, inc) when not (Src_type.is_float ty) ->
+      let id = reg_index d and is = reg_index s in
+      let m = lanes_of ty and nm, ns = norm_consts ty in
+      let od = id * vw and tag = int_tag m in
+      fun st ->
+        let x = st.gpr.(is) and vi = st.vi in
+        for l = 0 to m - 1 do
+          vi.(od + l) <- norm nm ns (x + (l * inc))
+        done;
+        st.vt.(id) <- tag;
+        next
     (* Everything else runs the reference step: the float forms of Vunop,
-       bitwise ops on float lanes, and the instructions the measured mix
-       barely runs (Viota, masked loads and stores). *)
-    | _ -> fallback
+       Vpack, Vunpack and Viota, and bitwise ops on float lanes, which
+       the suite's code barely runs. *)
+    | _ -> fallback ins next
   in
   let p_code = Array.mapi compile_action instrs in
   (* Parameter binders: per-name closures that keep List.assoc_opt (the

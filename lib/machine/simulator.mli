@@ -28,13 +28,16 @@ val run :
     labels resolved to pcs, costs (x87-blended) summed per basic block,
     parameter binding compiled to closures, every vector register given
     fixed lane storage.  Nearly every instruction compiles to a
-    specialized closure that writes its result in place; the rest —
-    masked loads and stores, float [Vunop], [Viota], bitwise ops on float
-    lanes — run the reference step.  Bit-, cycle-, instruction- and
-    fault-exact against [run]; built once at JIT-compile time and reused
-    for every invocation.  A run allocates a constant handful of words
-    (parameter binding, the result) and nothing per executed
-    instruction, except in those reference steps. *)
+    specialized closure that writes its result in place, masked loads
+    and stores included; the rest — float [Vunop], [Viota], [Vpack] and
+    [Vunpack], bitwise ops on float lanes — run the reference step.
+    Bit-, cycle-, instruction- and fault-exact against [run]; built once
+    at JIT-compile time (or when a body is loaded from the persistent
+    store) and reused for every invocation.  Building it allocates about
+    11 minor words per instruction at any function size, most of them
+    the closures themselves.  A run allocates a constant
+    handful of words (parameter binding, the result) and nothing per
+    executed instruction, except in those reference steps. *)
 type plan
 
 val prepare : target:Target.t -> Mfun.t -> plan

@@ -11,6 +11,7 @@ type entry = {
   e_key : Digest.key;
   e_compiled : Compile.t;
   e_vk : B.vkernel;  (* kept for target rejuvenation *)
+  e_vk_bytes : int;  (* its encoded size *)
   e_profile : Profile.t;
   e_bytes : int;
   mutable e_tick : int;  (* LRU clock value of the last use *)
@@ -61,8 +62,8 @@ let touch t e =
 
 (* Modeled resident footprint of one entry: the bytecode we retain for
    rejuvenation plus ~4 bytes per emitted machine instruction. *)
-let entry_bytes vk (c : Compile.t) =
-  Encode.size vk + (4 * Array.length c.Compile.mfun.Vapor_machine.Mfun.instrs)
+let entry_bytes ~vk_bytes (c : Compile.t) =
+  vk_bytes + (4 * Array.length c.Compile.mfun.Vapor_machine.Mfun.instrs)
 
 let remove_entry t e =
   Hashtbl.remove t.tbl e.e_key;
@@ -93,14 +94,15 @@ let enforce_budget t =
       t.on_evict Lru e.e_key
   done
 
-let insert t key vk profile compiled =
+let insert t key vk ~vk_bytes profile compiled =
   let e =
     {
       e_key = key;
       e_compiled = compiled;
       e_vk = vk;
+      e_vk_bytes = vk_bytes;
       e_profile = profile;
-      e_bytes = entry_bytes vk compiled;
+      e_bytes = entry_bytes ~vk_bytes compiled;
       e_tick = 0;
     }
   in
@@ -132,12 +134,12 @@ let remove t key =
     true
   | None -> false
 
-let find_or_compile ?digest ?(known_aligned = fun _ -> true) t
-    ~(target : Target.t) ~(profile : Profile.t) (vk : B.vkernel) =
-  let d = match digest with Some d -> d | None -> Digest.of_vkernel vk in
+let find_or_compile ?(known_aligned = fun _ -> true) t ~(target : Target.t)
+    ~(profile : Profile.t) (vk : B.vkernel) =
+  let encoded = Encode.encode vk in
   let key =
     {
-      Digest.k_digest = d;
+      Digest.k_digest = Digest.of_encoded encoded;
       k_target = target.Target.name;
       k_profile = profile.Profile.name;
     }
@@ -148,7 +150,7 @@ let find_or_compile ?digest ?(known_aligned = fun _ -> true) t
     let compiled = Compile.compile ~known_aligned ~target ~profile vk in
     note_real_compile t;
     Stats.observe t.st "cache.compile_us" compiled.Compile.compile_time_us;
-    insert t key vk profile compiled;
+    insert t key vk ~vk_bytes:(String.length encoded) profile compiled;
     compiled, Miss
 
 let invalidate_target t ~(from_target : Target.t) ~(to_target : Target.t) =
@@ -179,7 +181,7 @@ let invalidate_target t ~(from_target : Target.t) ~(to_target : Target.t) =
           with
           | Ok compiled ->
             note_real_compile t;
-            insert t key e.e_vk e.e_profile compiled;
+            insert t key e.e_vk ~vk_bytes:e.e_vk_bytes e.e_profile compiled;
             Stats.incr t.st "cache.rejuvenations";
             n + 1
           | Error _ ->

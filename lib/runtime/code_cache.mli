@@ -42,10 +42,11 @@ type outcome =
   | Miss  (** compiled now; the cold compile time was just paid *)
 
 (** Look up the compiled body for this (bytecode, target, profile); compile
-    and insert on miss, evicting LRU entries while over budget.  A
-    pre-computed [digest] skips re-encoding the bytecode on the hot path. *)
+    and insert on miss, evicting LRU entries while over budget.  Encodes
+    the bytecode once per call, for its digest and its size; the tiered
+    runtime, which serves the hot path, is handed the digest and encodes
+    a kernel once per tier state. *)
 val find_or_compile :
-  ?digest:Digest.t ->
   ?known_aligned:(string -> bool) ->
   t ->
   target:Target.t ->
@@ -58,8 +59,12 @@ val find_or_compile :
 val find : t -> Digest.key -> Compile.t option
 
 (** Insert (or replace) a compiled body, charging its modeled footprint
-    and evicting LRU entries while over budget.  Counted as a fill. *)
-val insert : t -> Digest.key -> B.vkernel -> Profile.t -> Compile.t -> unit
+    ([vk_bytes] + 4 bytes per machine instruction) and evicting LRU
+    entries while over budget.  [vk_bytes] must be
+    [Vapor_vecir.Encode.size vk], which callers take once per kernel
+    rather than per insert.  Counted as a fill. *)
+val insert :
+  t -> Digest.key -> B.vkernel -> vk_bytes:int -> Profile.t -> Compile.t -> unit
 
 (** Drop one entry (the quarantine hook); [true] if it was present.  Not
     counted as an eviction — callers account for quarantines. *)

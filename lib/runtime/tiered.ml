@@ -29,6 +29,7 @@ type transition = {
 type kstate = {
   ks_key : Digest.key;
   ks_label : string;
+  ks_encoded : string;
   mutable ks_invocations : int;
   mutable ks_interp_runs : int;
   mutable ks_jit_runs : int;
@@ -132,7 +133,7 @@ type run = {
 
 (* First-order interpreter cost model: a fixed entry cost, a dispatch cost
    per data element touched, and a decode cost per bytecode byte. *)
-let interp_cycles (vk : B.vkernel) ~args =
+let interp_cycles ~bytecode_bytes ~args =
   let elems =
     List.fold_left
       (fun acc (_, a) ->
@@ -141,9 +142,13 @@ let interp_cycles (vk : B.vkernel) ~args =
         | Eval.Scalar _ -> acc)
       0 args
   in
-  200 + (20 * elems) + (2 * Encode.size vk)
+  200 + (20 * elems) + (2 * bytecode_bytes)
 
-let state_of t key label =
+(* The tier state of [key], created on first use.  Its bytecode is
+   encoded here, once per state: the encoding's length is what the
+   interpreter cost model and the cache footprint charge, and a publish
+   stores the encoding itself. *)
+let state_of t key label vk =
   match Hashtbl.find_opt t.states key with
   | Some s -> s
   | None ->
@@ -151,6 +156,7 @@ let state_of t key label =
       {
         ks_key = key;
         ks_label = label;
+        ks_encoded = Encode.encode vk;
         ks_invocations = 0;
         ks_interp_runs = 0;
         ks_jit_runs = 0;
@@ -162,6 +168,8 @@ let state_of t key label =
     in
     Hashtbl.replace t.states key s;
     s
+
+let bytecode_bytes (s : kstate) = String.length s.ks_encoded
 
 let veval_mode (target : Target.t) =
   if Target.has_simd target then Veval.Vector target.Target.vs
@@ -248,7 +256,7 @@ let oracle_due t ~runs =
    mismatched). *)
 let interp_exec ~force_check t (s : kstate) ~(target : Target.t) vk ~args =
   let mode = veval_mode target in
-  let cycles = interp_cycles vk ~args in
+  let cycles = interp_cycles ~bytecode_bytes:(bytecode_bytes s) ~args in
   let guarded = not s.ks_quarantined in
   let corrupt =
     guarded
@@ -268,7 +276,9 @@ let interp_exec ~force_check t (s : kstate) ~(target : Target.t) vk ~args =
   | Some ref_args ->
     Stats.incr t.st "oracle.checks";
     ignore (Veval.run vk ~mode ~args:ref_args);
-    let check_cycles = interp_cycles vk ~args:ref_args in
+    let check_cycles =
+      interp_cycles ~bytecode_bytes:(bytecode_bytes s) ~args:ref_args
+    in
     if args_equal args ref_args then cycles, check_cycles, false
     else begin
       Stats.incr t.st "oracle.mismatches";
@@ -417,14 +427,14 @@ let store_fetch ?(discard_hit = false) t ~(target : Target.t) key :
         ~name:"store_probe" ();
     compiled
 
-let store_publish t key vk compiled =
+let store_publish t (s : kstate) compiled =
   match t.store with
   | None -> ()
   | Some ss ->
     let tr = t.tracer in
     if Tracer.on tr then Tracer.span_begin tr ~name:"store_publish" [];
     (match with_io_retry t ss (fun () ->
-         Store.publish ss (store_key key) vk compiled)
+         Store.publish ss (store_key s.ks_key) ~encoded:s.ks_encoded compiled)
      with
     | Some () -> ()
     | None ->
@@ -468,12 +478,13 @@ let interp_invoke ?memo t (s : kstate) ~(target : Target.t) ~force_check vk
    missed: probe the persistent store, else compile (with bounded retry
    against injected transient faults) and insert.  The [bool] in [Ok] is
    the real-compile hint for the admission journal. *)
-let jit_fetch_slow ?(discard_store_hit = false) t ~(target : Target.t)
-    ~(profile : Profile.t) ~key vk :
+let jit_fetch_slow ?(discard_store_hit = false) t (s : kstate)
+    ~(target : Target.t) ~(profile : Profile.t) vk :
     ( Compile.t * Code_cache.outcome * float * bool,
       Compile.lower_error * float )
     result =
-  let tr = t.tracer in
+  let tr = t.tracer and key = s.ks_key in
+  let vk_bytes = bytecode_bytes s in
   match store_fetch ~discard_hit:discard_store_hit t ~target key with
   | Some compiled ->
     (* Warm start: account the store hit exactly like a compile —
@@ -483,14 +494,14 @@ let jit_fetch_slow ?(discard_store_hit = false) t ~(target : Target.t)
     if compiled.Compile.forced_scalar_regions <> [] then
       Stats.incr t.st "guard.scalarize_fallbacks";
     Stats.observe t.st "cache.compile_us" compiled.Compile.compile_time_us;
-    Code_cache.insert t.cache key vk profile compiled;
+    Code_cache.insert t.cache key vk ~vk_bytes profile compiled;
     Ok (compiled, Code_cache.Miss, 0.0, false)
   | None -> (
     if Tracer.on tr then Tracer.span_begin tr ~name:"compile" [];
     match compile_with_retry t ~target ~profile vk with
     | Ok (compiled, backoff_us) ->
       Stats.observe t.st "cache.compile_us" compiled.Compile.compile_time_us;
-      Code_cache.insert t.cache key vk profile compiled;
+      Code_cache.insert t.cache key vk ~vk_bytes profile compiled;
       if Tracer.on tr then
         Tracer.span_end tr
           ~attrs:
@@ -499,7 +510,7 @@ let jit_fetch_slow ?(discard_store_hit = false) t ~(target : Target.t)
               "compile_us", Tracer.F compiled.Compile.compile_time_us;
             ]
           ~name:"compile" ();
-      store_publish t key vk compiled;
+      store_publish t s compiled;
       Ok (compiled, Code_cache.Miss, backoff_us, true)
     | Error (err, backoff_us) ->
       if Tracer.on tr then
@@ -627,7 +638,9 @@ let jit_run ?memo t (s : kstate) ~(target : Target.t) ~force_oracle vk ~args
           in
           if Tracer.on tr then Tracer.span_begin tr ~name:"oracle" [];
           ignore (Veval.run vk ~mode ~args:ref_args);
-          let check_cycles = interp_cycles vk ~args:ref_args in
+          let check_cycles =
+            interp_cycles ~bytecode_bytes:(bytecode_bytes s) ~args:ref_args
+          in
           let matched = args_equal (Lazy.force args) ref_args in
           if Tracer.on tr then
             Tracer.span_end tr
@@ -660,7 +673,7 @@ let resolve ?digest ?label t ~(target : Target.t) ~(profile : Profile.t)
     }
   in
   let label = match label with Some l -> l | None -> vk.B.name in
-  key, state_of t key label
+  key, state_of t key label vk
 
 (* The one invocation body.  [memo] (a batch and the caller's operand
    signature) enables duplicate-operand elision; it is honoured only on
@@ -707,7 +720,7 @@ let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
     let fetched =
       match found with
       | Some compiled -> Ok (compiled, Code_cache.Hit, 0.0, false)
-      | None -> jit_fetch_slow ~discard_store_hit t ~target ~profile ~key vk
+      | None -> jit_fetch_slow ~discard_store_hit t s ~target ~profile vk
     in
     jit_run ?memo t s ~target ~force_oracle vk ~args fetched
 

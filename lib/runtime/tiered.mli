@@ -31,6 +31,11 @@ type transition = {
 type kstate = {
   ks_key : Digest.key;
   ks_label : string;  (** kernel name, for tables *)
+  ks_encoded : string;
+      (** the kernel's bytecode in {!Vapor_vecir.Encode} form, encoded
+          once when the state is created: its length is the bytecode
+          size the interpreter cost model and the cache footprint
+          charge, and a store publish writes it as is *)
   mutable ks_invocations : int;
   mutable ks_interp_runs : int;
   mutable ks_jit_runs : int;
@@ -228,8 +233,9 @@ val set_tracer : t -> Vapor_obs.Tracer.t -> unit
     the original. *)
 val copy_args : (string * Eval.arg) list -> (string * Eval.arg) list
 
-(** The modeled interpreter cost (exposed for tests). *)
-val interp_cycles : B.vkernel -> args:(string * Eval.arg) list -> int
+(** The modeled interpreter cost, given the encoded bytecode's size
+    (exposed for tests). *)
+val interp_cycles : bytecode_bytes:int -> args:(string * Eval.arg) list -> int
 
 (** {2 Checkpoint snapshot}
 

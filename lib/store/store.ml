@@ -182,9 +182,9 @@ type payload = {
   p_forced_scalar_regions : int list;
 }
 
-let payload_of_compiled vk (c : Compile.t) =
+let payload_of_compiled ~encoded (c : Compile.t) =
   {
-    p_enc_vk = Encode.encode vk;
+    p_enc_vk = encoded;
     p_mfun = c.Compile.mfun;
     p_decisions = c.Compile.decisions;
     p_compile_time_us = c.Compile.compile_time_us;
@@ -193,13 +193,15 @@ let payload_of_compiled vk (c : Compile.t) =
   }
 
 type entry = {
-  en_vk : B.vkernel;
+  en_encoded : string;
   en_compiled : Compile.t;
 }
 
+(* The stored bytecode is not decoded: the digest check already proved it
+   is the key's, and the runtime keeps the caller's own bytecode. *)
 let entry_of_payload ~(target : Target.t) p =
   {
-    en_vk = Encode.decode p.p_enc_vk;
+    en_encoded = p.p_enc_vk;
     en_compiled =
       {
         Compile.mfun = p.p_mfun;
@@ -762,7 +764,7 @@ let probe ?mangle s ~(target : Target.t) key =
         s.ss_misses <- s.ss_misses + 1;
         Miss)
 
-let publish s key vk (c : Compile.t) =
+let publish s key ~encoded (c : Compile.t) =
   let already_persisted =
     (not (Hashtbl.mem s.ss_bad key))
     && match Hashtbl.find_opt s.ss_store.t_tbl key with
@@ -770,7 +772,7 @@ let publish s key vk (c : Compile.t) =
        | None -> false
   in
   if (not already_persisted) && not (Hashtbl.mem s.ss_staged_tbl key) then begin
-    let payload_bytes = Marshal.to_string (payload_of_compiled vk c) [] in
+    let payload_bytes = Marshal.to_string (payload_of_compiled ~encoded c) [] in
     let file = file_of_key key in
     write_file_atomic
       (Filename.concat s.ss_dir file)

@@ -9,8 +9,12 @@
     {!Vapor_jit.Compile.t} without compiling: the encoded bytecode, the
     machine function, the lowering decisions, and the modeled compile
     time.  Only the execution plan is rebuilt on load
-    ({!Vapor_machine.Simulator.prepare}), which is cheap and
-    target-dependent.
+    ({!Vapor_machine.Simulator.prepare}, which is target-dependent).
+    That is not free: over compile-churn's 259 bodies a prepare takes a
+    median of 10–14 µs and a mean of 32–43 µs, the largest part of a
+    warm hit (median 32–36 µs, mean 69–88 µs), against about 4 µs to
+    read the file, 5 µs for the payload MD5 and 6–7 µs to unmarshal it
+    (docs/PERF.md, "Warm starts").
 
     Layout on disk ([DIR] is the store root):
     {v
@@ -21,12 +25,15 @@
     v}
 
     Integrity model: every entry file carries its key and an MD5 of its
-    payload; the index carries the same checksum.  A probe re-verifies
-    the checksum (and that the payload's bytecode hashes back to the
-    key's digest) before anything is installed in memory — a mismatching
-    entry is never served; it is quarantined (moved to [quarantine/],
-    marked in the index) and the caller recompiles, exactly like an
-    in-memory corruption.
+    payload; the index carries the same checksum.  A probe checks the
+    entry's magic, format version and embedded key, the payload MD5
+    against both the entry and the index, and that the stored bytecode
+    hashes back to the key's digest, before anything is installed in
+    memory — a mismatching entry is never served; it is quarantined
+    (moved to [quarantine/], marked in the index) and the caller
+    recompiles, exactly like an in-memory corruption.  A hit does not
+    decode the stored bytecode: the digest check already proves it is
+    the key's bytecode, which the caller holds.
 
     Concurrency model: during a replay every domain holds its own
     {!session}.  Sessions read the open store's index (frozen for the
@@ -194,10 +201,12 @@ val clear : t -> unit
     Returns the number quarantined.  Flushes. *)
 val invalidate_target : t -> from_target:string -> int
 
-(** What a probe returns: the decoded bytecode and a rebuilt
-    {!Vapor_jit.Compile.t} (plan re-prepared for the probing target). *)
+(** What a probe returns: the stored bytecode, still encoded (its MD5 is
+    the key's digest; {!Vapor_vecir.Encode.decode} reads it), and a
+    rebuilt {!Vapor_jit.Compile.t} (plan re-prepared for the probing
+    target). *)
 type entry = {
-  en_vk : Vapor_vecir.Bytecode.vkernel;
+  en_encoded : string;
   en_compiled : Vapor_jit.Compile.t;
 }
 
@@ -229,10 +238,11 @@ val probe :
   key ->
   probe_result
 
-(** Write-through hook: persist a freshly compiled body.  A key already
+(** Write-through hook: persist a freshly compiled body.  [encoded] is
+    the body's bytecode in {!Vapor_vecir.Encode} form — the string the
+    key's digest was taken of — and is stored as is.  A key already
     valid in the store (and not found corrupt this session) is a no-op. *)
-val publish :
-  session -> key -> Vapor_vecir.Bytecode.vkernel -> Vapor_jit.Compile.t -> unit
+val publish : session -> key -> encoded:string -> Vapor_jit.Compile.t -> unit
 
 (** Record that [from_target] became stale mid-run; applied (as
     {!invalidate_target}) by {!merge}. *)

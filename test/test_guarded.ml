@@ -187,9 +187,11 @@ let cache_reinsert_case () =
   let vk = bytecode "saxpy_fp" in
   let key = cache_key vk sse Profile.mono in
   let compiled = Compile.compile ~target:sse ~profile:Profile.mono vk in
-  Cache.insert cache key vk Profile.mono compiled;
+  Cache.insert cache key vk ~vk_bytes:(Vapor_vecir.Encode.size vk) Profile.mono
+    compiled;
   let bytes_once = Cache.byte_count cache in
-  Cache.insert cache key vk Profile.mono compiled;
+  Cache.insert cache key vk ~vk_bytes:(Vapor_vecir.Encode.size vk) Profile.mono
+    compiled;
   check_int "entry count stays 1" 1 (Cache.entry_count cache);
   check_int "bytes not double-charged" bytes_once (Cache.byte_count cache);
   check_int "both inserts counted as fills" 2 (Cache.fills cache);

@@ -189,7 +189,9 @@ let cache_evict_hook_case () =
   let vk = bytecode "sfir_fp" in
   let key = key_of "sfir_fp" in
   (match Cache.find cache key with
-  | Some c -> Cache.insert cache key vk Profile.mono c
+  | Some c ->
+    Cache.insert cache key vk ~vk_bytes:(Vapor_vecir.Encode.size vk)
+      Profile.mono c
   | None -> fail "sfir_fp should be resident");
   check_bool "replacement fires the hook" true (saw Cache.Replaced "sfir_fp");
   (* invalidate_target no longer drops entries silently: each stale body

@@ -125,7 +125,7 @@ let roundtrip_case () =
   (match Store.probe ss ~target:sse key with
   | Store.Miss -> ()
   | _ -> fail "fresh store must miss");
-  Store.publish ss key vk c;
+  Store.publish ss key ~encoded:(Encode.encode vk) c;
   (* A key published this session is served from staging before the
      merge (covers re-probing after an in-memory eviction). *)
   (match Store.probe ss ~target:sse key with
@@ -139,7 +139,7 @@ let roundtrip_case () =
   match Store.probe ss2 ~target:sse key with
   | Store.Hit e ->
     check_string "bytecode bit-identical" (Encode.encode vk)
-      (Encode.encode e.Store.en_vk);
+      e.Store.en_encoded;
     check_bool "machine code identical" true
       (e.Store.en_compiled.Compile.mfun = c.Compile.mfun);
     check_bool "decisions identical" true
@@ -429,6 +429,72 @@ let invalidate_target_case () =
   check_int "unrelated target untouched" 0
     (Store.invalidate_target s ~from_target:"avx")
 
+(* --- the modeled footprint evictions depend on --------------------------- *)
+
+(* Every suite kernel on the fleet, compiled cold (publishing to a store)
+   and then served warm from it into a fresh cache: each entry charges
+   its bytecode's encoded length plus 4 bytes per machine instruction,
+   whichever way the body arrived. *)
+let footprint_case () =
+  let module Target = Vapor_targets.Target in
+  let module Cache = Vapor_runtime.Code_cache in
+  let module Tiered = Vapor_runtime.Tiered in
+  let fleet =
+    List.map Target.resolve
+      [
+        Vapor_targets.Scalar_target.target; sse; Vapor_targets.Avx.target;
+        Vapor_targets.Neon.target; Vapor_targets.Altivec.target;
+        Target.resolve ~vl:16 Vapor_targets.Sve.target;
+        Vapor_targets.Avx512.target;
+      ]
+  in
+  let expected = Hashtbl.create 256 in
+  List.iter
+    (fun (target : Target.t) ->
+      List.iter
+        (fun name ->
+          let vk = bytecode name in
+          match Compile.compile_checked ~target ~profile:Profile.mono vk with
+          | Ok c ->
+            Hashtbl.replace expected
+              (D.short (D.of_vkernel vk), target.Target.name)
+              (String.length (Encode.encode vk)
+              + (4 * Array.length c.Compile.mfun.Vapor_machine.Mfun.instrs))
+          | Error _ -> ())
+        Suite.names)
+    fleet;
+  let s = open_fresh () in
+  let serve what =
+    let ss = Store.session ~id:0 s in
+    let rows =
+      List.concat_map
+        (fun target ->
+          let cache = Cache.create () in
+          let rt = Tiered.create ~store:ss ~cache ~hotness_threshold:0 () in
+          List.iter
+            (fun name ->
+              ignore
+                (Tiered.invoke rt ~target ~profile:Profile.mono (bytecode name)
+                   ~args:((Suite.find name).Suite.args ~scale:1)))
+            Suite.names;
+          if what = "warm" then
+            check_int "warm run compiles nothing" 0 (Cache.real_compiles cache);
+          Cache.snap_rows (Cache.snapshot cache))
+        fleet
+    in
+    Store.merge s [ ss ];
+    List.iter
+      (fun (d, t, _, bytes, _) ->
+        match Hashtbl.find_opt expected (d, t) with
+        | Some want -> check_int (Printf.sprintf "%s %s@%s" what d t) want bytes
+        | None -> fail (Printf.sprintf "%s: unexpected entry %s@%s" what d t))
+      rows;
+    check_int (what ^ ": one entry per compiled body") (Hashtbl.length expected)
+      (List.length rows)
+  in
+  serve "cold";
+  serve "warm"
+
 (* --- suites ------------------------------------------------------------- *)
 
 let qsuite name tests = name, List.map QCheck_alcotest.to_alcotest tests
@@ -454,6 +520,8 @@ let () =
             `Quick warm_start_identity_case;
           Alcotest.test_case "domains=4 publish loses nothing" `Quick
             sharded_publish_case;
+          Alcotest.test_case "cache footprint: bytecode + 4 per instruction"
+            `Quick footprint_case;
         ] );
       ( "integrity",
         [

@@ -258,11 +258,12 @@ let run_benchmarks () =
 
 
 (* ---------------------------------------------------------------------- *)
-(* Part 4: wall-clock throughput of the fast execution engine — the
-   pre-resolved simulator plans — against the reference engine, plus the
-   domain-sharded replay driver.
+(* Part 4: wall-clock throughput of replay, which runs every JIT-tier body
+   on its pre-resolved simulator plan, plus the domain-sharded replay
+   driver; the simulator micro times the plan against the reference
+   [Simulator.run].
    Everything else in this harness measures *modeled* cycles; this part
-   measures real elapsed time, which is what the fast path buys.          *)
+   measures real elapsed time.                                            *)
 
 module Simulator = Vapor_machine.Simulator
 module Layout = Vapor_machine.Layout
@@ -371,27 +372,23 @@ let micro_simulator () =
 
 let bench_replay_length = 2_000
 
-let replay_cfg ~engine ~guard target =
+let replay_cfg ~guard target =
   {
     (Service.default_config ~targets:[ target ]) with
     Service.cfg_hotness = replay_hotness;
-    cfg_engine = engine;
     cfg_guard = guard;
   }
 
-(* Wall-clock replay throughput per engine; the replay itself is the
-   serving loop a managed runtime would run, so events/second is the
-   headline figure. *)
+(* Wall-clock replay throughput per target; the replay itself is the
+   serving loop a managed runtime would run. *)
 let bench_replay_target target =
   let trace = Trace.standard ~length:bench_replay_length ~n_targets:1 () in
-  let run engine () =
-    ignore
-      (Service.replay (replay_cfg ~engine ~guard:Tiered.no_guard target) trace)
+  let s =
+    best_of 5 (fun () ->
+        ignore
+          (Service.replay (replay_cfg ~guard:Tiered.no_guard target) trace))
   in
-  let ref_s = best_of 5 (run Tiered.Reference) in
-  let fast_s = best_of 5 (run Tiered.Fast) in
-  let per_s x = float_of_int bench_replay_length /. x in
-  target, per_s ref_s, per_s fast_s, ref_s /. fast_s
+  target, float_of_int bench_replay_length /. s
 
 (* The domains curve is cores-aware: the replay spawns at most
    [recommended_domain_count] OS domains, so the measured scaling (and
@@ -400,7 +397,7 @@ let bench_replay_target target =
 let bench_domains () =
   let target = Vapor_targets.Sse.target in
   let trace = Trace.standard ~length:bench_replay_length ~n_targets:1 () in
-  let cfg = replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target in
+  let cfg = replay_cfg ~guard:Tiered.no_guard target in
   let baseline =
     Service.report_to_string (Service.replay ~domains:1 cfg trace)
   in
@@ -438,14 +435,11 @@ let bench_oracle () =
   let unguarded =
     best_of_3 (fun () ->
         ignore
-          (Service.replay
-             (replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target)
-             trace))
+          (Service.replay (replay_cfg ~guard:Tiered.no_guard target) trace))
   in
   let guarded =
     best_of_3 (fun () ->
-        ignore
-          (Service.replay (replay_cfg ~engine:Tiered.Fast ~guard target) trace))
+        ignore (Service.replay (replay_cfg ~guard target) trace))
   in
   unguarded, guarded, guarded /. unguarded
 
@@ -474,7 +468,7 @@ let bench_store () =
   let trace = Trace.standard ~length:store_bench_length ~n_targets:1 () in
   let cfg store =
     {
-      (replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target) with
+      (replay_cfg ~guard:Tiered.no_guard target) with
       Service.cfg_hotness = 0;
       cfg_store = Some store;
     }
@@ -534,7 +528,7 @@ type serve_bench = {
 let bench_serve () =
   let target = Vapor_targets.Sse.target in
   let trace = Trace.standard ~length:bench_replay_length ~n_targets:1 () in
-  let cfg = replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target in
+  let cfg = replay_cfg ~guard:Tiered.no_guard target in
   let wl = Workload.of_trace ~streams:4 trace in
   let scfg = Serve.default_cfg cfg in
   let rep = ref (Serve.run scfg wl) in
@@ -590,7 +584,7 @@ type batch_bench = {
 let bench_batch () =
   let target = Vapor_targets.Sse.target in
   let trace = Trace.standard ~length:bench_replay_length ~n_targets:1 () in
-  let cfg = replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target in
+  let cfg = replay_cfg ~guard:Tiered.no_guard target in
   let mk max_batch =
     {
       (Serve.default_cfg cfg) with
@@ -640,7 +634,7 @@ type recovery_bench = {
 let bench_recovery () =
   let target = Vapor_targets.Sse.target in
   let trace = Trace.standard ~length:bench_replay_length ~n_targets:1 () in
-  let cfg = replay_cfg ~engine:Tiered.Fast ~guard:Tiered.no_guard target in
+  let cfg = replay_cfg ~guard:Tiered.no_guard target in
   let wl = Workload.of_trace ~streams:4 trace in
   let off_cfg = Serve.default_cfg cfg in
   let mk ?(crash_at = []) ?journal_dir () =
@@ -730,8 +724,7 @@ let bench_fleet () =
   let cfg =
     {
       (Service.default_config ~targets:population) with
-      Service.cfg_engine = Tiered.Fast;
-      cfg_retargets = upgrades;
+      Service.cfg_retargets = upgrades;
     }
   in
   let wl = Workload.of_trace ~streams:4 trace in
@@ -770,8 +763,7 @@ let bench_fleet () =
   let store_cfg store =
     {
       (Service.default_config ~targets:population) with
-      Service.cfg_engine = Tiered.Fast;
-      cfg_hotness = 0;
+      Service.cfg_hotness = 0;
       cfg_store = Some store;
     }
   in
@@ -876,8 +868,8 @@ let run_fastpath_bench ~json () =
   Printf.printf "\nFast-path engine wall-clock benchmark\n";
   Printf.printf "=====================================\n";
   Printf.printf
-    "(pre-resolved plans vs the reference engine;\n\
-    \ real elapsed time, not modeled cycles)\n\n%!";
+    "(replay runs the pre-resolved plans; the micro times one against the\n\
+    \ reference Simulator.run; real elapsed time, not modeled cycles)\n\n%!";
   let run_ns, plan_ns = micro_simulator () in
   Printf.printf "  simulator   (sfir_fp, sse)  %10.0f ns/run reference  \
                  %10.0f ns/run plan   (%.1fx)\n\n%!"
@@ -885,24 +877,11 @@ let run_fastpath_bench ~json () =
   let replay_rows =
     List.map bench_replay_target Vapor_targets.Scalar_target.all_simd
   in
-  Printf.printf "  %-8s %16s %16s %9s\n" "target" "ref events/s"
-    "fast events/s" "speedup";
+  Printf.printf "  %-8s %16s\n" "target" "events/s";
   List.iter
-    (fun ((t : Vapor_targets.Target.t), ref_ps, fast_ps, speedup) ->
-      Printf.printf "  %-8s %16.0f %16.0f %8.2fx\n" t.Vapor_targets.Target.name
-        ref_ps fast_ps speedup)
+    (fun ((t : Vapor_targets.Target.t), fast_ps) ->
+      Printf.printf "  %-8s %16.0f\n" t.Vapor_targets.Target.name fast_ps)
     replay_rows;
-  let headline =
-    match
-      List.find_opt
-        (fun ((t : Vapor_targets.Target.t), _, _, _) ->
-          t.Vapor_targets.Target.name = "sse")
-        replay_rows
-    with
-    | Some (_, _, _, s) -> s
-    | None -> (match replay_rows with (_, _, _, s) :: _ -> s | [] -> 0.0)
-  in
-  Printf.printf "\n  headline replay speedup (sse): %.2fx\n%!" headline;
   let cores, domain_rows = bench_domains () in
   Printf.printf "\n  %-8s %16s %9s %10s   (%d cores)\n" "domains" "events/s"
     "speedup" "identical" cores;
@@ -1025,17 +1004,14 @@ let run_fastpath_bench ~json () =
     Printf.bprintf buf "  },\n";
     Printf.bprintf buf "  \"replay\": [\n";
     List.iteri
-      (fun i ((t : Vapor_targets.Target.t), ref_ps, fast_ps, speedup) ->
+      (fun i ((t : Vapor_targets.Target.t), fast_ps) ->
         Printf.bprintf buf
           "    {\"target\": \"%s\", \"events\": %d, \
-           \"reference_events_per_s\": %.0f, \"fast_events_per_s\": %.0f, \
-           \"speedup\": %.2f}%s\n"
-          t.Vapor_targets.Target.name bench_replay_length ref_ps fast_ps
-          speedup
+           \"fast_events_per_s\": %.0f}%s\n"
+          t.Vapor_targets.Target.name bench_replay_length fast_ps
           (if i = List.length replay_rows - 1 then "" else ","))
       replay_rows;
     Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf "  \"headline_replay_speedup\": %.2f,\n" headline;
     Printf.bprintf buf "  \"cores\": %d,\n" cores;
     Printf.bprintf buf "  \"domains\": [\n";
     List.iteri

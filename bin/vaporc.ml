@@ -490,7 +490,6 @@ type runtime = {
   profile : Profile.t;
   hotness : int;
   store : string option;
-  engine : string;
   cache_entries : int;
   cache_bytes : int;
   rejuvenate_to : string option;
@@ -516,13 +515,6 @@ let runtime_term p =
          missing; combine with --store-corrupt-rate to exercise the \
          disk-corruption path."
       Arg.(some string) None p
-  and+ engine =
-    option_flag ~for_:[ Replay ] "engine" ~docv:"ENGINE"
-      ~doc:
-        "Simulator for JIT-tier bodies: 'fast' (pre-resolved plans) or \
-         'reference' (instruction-by-instruction simulator).  Reports are \
-         identical; only wall-clock differs."
-      Arg.string "fast" p
   and+ cache_entries =
     option_flag ~for_:[ Replay ] "cache-entries" ~docv:"N"
       ~doc:"Code-cache entry budget (LRU beyond this)." Arg.int 64 p
@@ -541,7 +533,7 @@ let runtime_term p =
       ~doc:"Trace event index at which rejuvenation fires." Arg.int 200 p
   in
   {
-    target; profile; hotness; store; engine; cache_entries; cache_bytes;
+    target; profile; hotness; store; cache_entries; cache_bytes;
     rejuvenate_to; rejuvenate_at;
   }
 
@@ -957,7 +949,6 @@ let injector flt ~chaos ~serving ~seed =
           crash_only with
           Faults.f_corrupt_rate = flt.corrupt_rate;
           f_compile_fault_rate = flt.compile_fault_rate;
-          f_drop_simd_at = flt.drop_simd_at;
           f_store_corrupt_rate = flt.store_corrupt_rate;
           f_stall_rate = serving_rate flt.stall_rate;
           f_disconnect_rate = serving_rate flt.disconnect_rate;
@@ -990,12 +981,6 @@ let injector flt ~chaos ~serving ~seed =
 let service_config ?(retargets = []) ?(label_targets = false) ?drop_simd_at
     rt ~targets ~guard =
   let store = Option.map (open_store_or_die ~create:true) rt.store in
-  let engine =
-    match Tiered.engine_of_string rt.engine with
-    | Some e -> e
-    | None ->
-      die_unknown ~what:"engine" ~given:rt.engine ~valid:[ "fast"; "reference" ]
-  in
   (* only serve-replay rejuvenates, from its one target; at the head of
      the retarget list it fires first among triggers due at one event *)
   let rejuvenate =
@@ -1014,7 +999,6 @@ let service_config ?(retargets = []) ?(label_targets = false) ?drop_simd_at
     cfg_drop_simd =
       Option.map (fun at -> at, Targets.find "scalar") drop_simd_at;
     cfg_label_targets = label_targets;
-    cfg_engine = engine;
     cfg_store = store;
   }
 

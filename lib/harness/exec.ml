@@ -31,9 +31,9 @@ let split_args (args : (string * Eval.arg) list) =
   arrays, scalars
 
 (* Run a compiled kernel over the given arguments; array buffers are
-   updated in place from the final memory image.  [simulate] picks the
-   engine: the prepared plan (fast, default) or the reference
-   instruction-by-instruction [Simulator.run]. *)
+   updated in place from the final memory image.  [simulate] is the
+   prepared plan, or for [run_reference] the instruction-by-instruction
+   [Simulator.run]. *)
 let run_with ~simulate ?(policy = Layout.aligned_policy) (target : Target.t)
     (compiled : Compile.t) ~(args : (string * Eval.arg) list) : run_result =
   let module Stage = Vapor_obs.Stage in
@@ -56,24 +56,25 @@ let run_with ~simulate ?(policy = Layout.aligned_policy) (target : Target.t)
     compile_time_us = compiled.Compile.compile_time_us;
   }
 
+let simulate_plan _target (compiled : Compile.t) layout mem scalars =
+  Simulator.run_plan compiled.Compile.plan layout mem ~scalar_args:scalars
+
+(* The plan is prepared for the concrete target the body was compiled
+   for; a late-bound target runs it when it resolves to that target.  Any
+   other target is the caller's error. *)
+let run ?policy (target : Target.t) (compiled : Compile.t) ~args =
+  let planned = Simulator.plan_target compiled.Compile.plan in
+  if not (String.equal (Target.resolve target).Target.name planned.Target.name)
+  then
+    invalid_arg
+      (Printf.sprintf "Exec.run: body compiled for %s, not %s"
+         planned.Target.name target.Target.name);
+  run_with ~simulate:simulate_plan ?policy target compiled ~args
+
 let simulate_reference target (compiled : Compile.t) layout mem scalars =
   Simulator.run target layout mem compiled.Compile.mfun ~scalar_args:scalars
 
-(* The plan is only valid for the target it was prepared for; a caller
-   simulating on a different target (cross-target what-ifs) falls back to
-   the reference engine. *)
-let simulate_fast (target : Target.t) (compiled : Compile.t) layout mem scalars
-    =
-  let plan = compiled.Compile.plan in
-  if (Simulator.plan_target plan).Target.name = target.Target.name then
-    Simulator.run_plan plan layout mem ~scalar_args:scalars
-  else simulate_reference target compiled layout mem scalars
-
-let run ?policy target compiled ~args =
-  run_with ~simulate:simulate_fast ?policy target compiled ~args
-
-(* The pre-plan execution path, kept as the baseline the fast engine is
-   measured against and as the engine for [--engine reference]. *)
+(* The tests' oracle for the plan; no serving path reaches it. *)
 let run_reference ?policy target compiled ~args =
   run_with ~simulate:simulate_reference ?policy target compiled ~args
 
@@ -91,10 +92,8 @@ let exec_error_to_string e =
    [Layout.read_back] after a clean finish, so a fault mid-run leaves the
    arguments exactly as they were — the caller can safely re-run through
    the interpreter tier. *)
-let run_checked ?(reference = false) ?policy (target : Target.t)
-    (compiled : Compile.t) ~(args : (string * Eval.arg) list) :
-    (run_result, exec_error) result =
-  let run = if reference then run_reference else run in
+let run_checked ?policy (target : Target.t) (compiled : Compile.t)
+    ~(args : (string * Eval.arg) list) : (run_result, exec_error) result =
   match run ?policy target compiled ~args with
   | r -> Ok r
   | exception Invalid_argument msg ->

@@ -15,10 +15,11 @@ val split_args :
   (string * Eval.arg) list ->
   (string * Buffer_.t) list * (string * Value.t) list
 
-(** Lay out memory per [policy], simulate, and copy results back into the
-    argument buffers.  Uses the pre-resolved execution plan when it matches
-    the target (the common case); cross-target simulation falls back to the
-    reference engine. *)
+(** Lay out memory per [policy], run the body's pre-resolved plan
+    ([compiled.plan]), and copy results back into the argument buffers.
+    [target] must be the target the body was compiled for, or a late-bound
+    target that {!Vapor_targets.Target.resolve}s to it; any other target
+    raises [Invalid_argument] before memory is laid out. *)
 val run :
   ?policy:Layout.policy ->
   Target.t ->
@@ -26,9 +27,9 @@ val run :
   args:(string * Eval.arg) list ->
   run_result
 
-(** The pre-plan execution path ([Simulator.run] on [mfun]): the baseline
-    the fast engine is benchmarked against, selectable at the service
-    boundary with [--engine reference]. *)
+(** The same run through the instruction-by-instruction [Simulator.run]
+    on [mfun]: the tests' oracle for the plan (cycles, instructions and
+    output buffers must agree).  No serving path reaches it. *)
 val run_reference :
   ?policy:Layout.policy ->
   Target.t ->
@@ -44,12 +45,11 @@ type exec_error = {
 
 val exec_error_to_string : exec_error -> string
 
-(** Like {!run} but never raises on planning/simulation faults.  On
-    [Error] the argument buffers are untouched (results are only copied
-    back after a clean finish), so the caller can fall back to the
-    interpreter tier. *)
+(** Like {!run} but never raises on planning/simulation faults: a target
+    the body was not compiled for is a [`Plan] error.  On [Error] the
+    argument buffers are untouched (results are only copied back after a
+    clean finish), so the caller can fall back to the interpreter tier. *)
 val run_checked :
-  ?reference:bool ->
   ?policy:Layout.policy ->
   Target.t ->
   Compile.t ->

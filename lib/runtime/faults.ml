@@ -17,7 +17,6 @@ type spec = {
   f_corrupt_rate : float;  (* P(deliver a corrupted body from the cache) *)
   f_compile_fault_rate : float;  (* P(injected lowering failure per attempt) *)
   f_max_transient : int;  (* injected compile faults clear after N retries *)
-  f_drop_simd_at : int option;  (* trace index where SIMD capability drops *)
   f_store_corrupt_rate : float;
       (* P(a persistent-store read comes back with mangled bytes) *)
   (* serving-shaped faults, exercised by the serve engine *)
@@ -44,7 +43,6 @@ let default_spec =
     f_corrupt_rate = 0.0;
     f_compile_fault_rate = 0.0;
     f_max_transient = 2;
-    f_drop_simd_at = None;
     f_store_corrupt_rate = 0.0;
     f_stall_rate = 0.0;
     f_stall_ticks = 50_000;

@@ -1,8 +1,10 @@
 (** Deterministic (seeded) fault injection for the guarded runtime: body
-    corruption, transient lowering failures, and mid-trace loss of SIMD
-    capability.  All draws come from one splitmix64 stream, so the same
-    seed reproduces the same faults at the same trace points — the
-    property the chaos-replay CI seeds rely on. *)
+    corruption, transient lowering failures, store-read corruption and
+    serving-shaped faults.  All draws come from one splitmix64 stream, so
+    the same seed reproduces the same faults at the same trace points —
+    the property the chaos-replay CI seeds rely on.  The mid-trace loss
+    of SIMD capability is not drawn: it is scheduled by
+    [Service.cfg_drop_simd]. *)
 
 module Mfun := Vapor_machine.Mfun
 module Compile := Vapor_jit.Compile
@@ -15,8 +17,6 @@ type spec = {
       (** probability a compile attempt takes an injected transient fault *)
   f_max_transient : int;
       (** attempts beyond this always succeed, bounding the retry loop *)
-  f_drop_simd_at : int option;
-      (** trace index at which the serving target loses SIMD capability *)
   f_store_corrupt_rate : float;
       (** probability a persistent-store probe reads mangled bytes; the
           store's checksum layer must detect and quarantine *)

@@ -29,7 +29,6 @@ type config = {
      the extra counters would change report byte-identity for existing
      replays. *)
   cfg_label_targets : bool;
-  cfg_engine : Tiered.engine;
   (* Persistent second tier, shared across processes and across the
      domains of a sharded replay (one session per domain, merged by a
      single writer after the join). *)
@@ -47,7 +46,6 @@ let default_config ~targets =
     cfg_guard = Tiered.no_guard;
     cfg_drop_simd = None;
     cfg_label_targets = false;
-    cfg_engine = Tiered.Fast;
     cfg_store = None;
   }
 
@@ -215,7 +213,7 @@ let pool_create ?(tracer = Tracer.disabled) ?(shards = 1) (cfg : config)
     in
     let sh_tracer = if shards = 1 then tracer else Tracer.sub tracer in
     let tiered =
-      Tiered.create ~stats:st ~guard ~engine:cfg.cfg_engine ~tracer:sh_tracer
+      Tiered.create ~stats:st ~guard ~tracer:sh_tracer
         ?store:(if sessions = [||] then None else Some sessions.(i))
         ~cache ~hotness_threshold:cfg.cfg_hotness ()
     in

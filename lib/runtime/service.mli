@@ -33,10 +33,6 @@ type config = {
       (** label runtime counters with the resolved serving-target name
           ([target.<name>.{invocations,jit_runs,interp_runs}]); off by
           default so existing replay reports stay byte-identical *)
-  cfg_engine : Tiered.engine;
-      (** which execution engine serves invocations; {!Tiered.Fast} (the
-          default) is report-identical to {!Tiered.Reference}, only
-          wall-clock differs *)
   cfg_store : Vapor_store.Store.t option;
       (** persistent code store probed on in-memory cache misses and
           published to after every compile; one session per domain,

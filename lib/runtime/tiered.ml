@@ -57,31 +57,12 @@ type guard = {
 
 let no_guard = { g_oracle = None; g_faults = None; g_retry_budget = 3 }
 
-(* Which simulator runs JIT-tier bodies.  [Fast] (the default) runs the
-   pre-resolved plan; [Reference] runs the instruction-by-instruction
-   Simulator.run — the baseline the plan is benchmarked (and
-   differentially checked) against.  The interpreter tier always runs
-   Veval. *)
-type engine =
-  | Reference
-  | Fast
-
-let engine_to_string = function
-  | Reference -> "reference"
-  | Fast -> "fast"
-
-let engine_of_string = function
-  | "reference" -> Some Reference
-  | "fast" -> Some Fast
-  | _ -> None
-
 type t = {
   cache : Code_cache.t;
   threshold : int;
   st : Stats.t;
   states : (Digest.key, kstate) Hashtbl.t;
   guard : guard;
-  engine : engine;
   mutable tracer : Tracer.t;
       (* mutable so recovery replay can silence spans while re-executing
          a journal suffix: the crash-free run emitted each event's spans
@@ -91,15 +72,14 @@ type t = {
          published after every real compile *)
 }
 
-let create ?stats ?(guard = no_guard) ?(engine = Fast)
-    ?(tracer = Tracer.disabled) ?store ~cache ~hotness_threshold () =
+let create ?stats ?(guard = no_guard) ?(tracer = Tracer.disabled) ?store
+    ~cache ~hotness_threshold () =
   {
     cache;
     threshold = max 0 hotness_threshold;
     st = (match stats with Some s -> s | None -> Code_cache.stats cache);
     states = Hashtbl.create 32;
     guard;
-    engine;
     tracer;
     store;
   }
@@ -576,10 +556,7 @@ let jit_run ?memo t (s : kstate) ~(target : Target.t) ~force_oracle vk ~args
           match memoized with
           | Some cycles -> Ok cycles
           | None -> (
-            match
-              Exec.run_checked ~reference:(t.engine = Reference) target
-                compiled ~args:(Lazy.force args)
-            with
+            match Exec.run_checked target compiled ~args:(Lazy.force args) with
             | Ok ok -> Ok ok.Exec.cycles
             | Error ee -> Error ee)
         in
@@ -678,8 +655,8 @@ let resolve ?digest ?label t ~(target : Target.t) ~(profile : Profile.t)
 (* The one invocation body.  [memo] (a batch and the caller's operand
    signature) enables duplicate-operand elision; it is honoured only on
    the unguarded fast path (no fault injector, no oracle, no forced
-   probe, fast engine, kernel not quarantined), so guard schedules, fault
-   draws and quarantine transitions stay those of single dispatch. *)
+   probe, kernel not quarantined), so guard schedules, fault draws and
+   quarantine transitions stay those of single dispatch. *)
 let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
     ?(discard_store_hit = false) ?memo t ~(target : Target.t)
     ~(profile : Profile.t) (vk : B.vkernel) ~args =
@@ -691,9 +668,8 @@ let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
   let memo =
     match memo with
     | Some _
-      when t.engine = Fast && t.guard.g_oracle = None
-           && t.guard.g_faults = None && (not force_oracle)
-           && not s.ks_quarantined ->
+      when t.guard.g_oracle = None && t.guard.g_faults = None
+           && (not force_oracle) && not s.ks_quarantined ->
       memo
     | _ -> None
   in
@@ -763,7 +739,6 @@ let hotness_threshold t = t.threshold
 let cache t = t.cache
 let store t = t.store
 let stats t = t.st
-let engine t = t.engine
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
 

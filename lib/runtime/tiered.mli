@@ -68,19 +68,6 @@ type guard = {
 
 val no_guard : guard
 
-(** Which simulator runs JIT-tier bodies.  [Fast] (the default) runs the
-    pre-resolved plan; [Reference] runs the instruction-by-instruction
-    simulator — the baseline the plan is benchmarked (and differentially
-    checked) against.  The interpreter tier runs {!Vapor_vecir.Veval}
-    under either.  Results and reports are identical between engines;
-    only wall-clock differs. *)
-type engine =
-  | Reference
-  | Fast
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
-
 type t
 
 (** [hotness_threshold] is the number of interpreter runs before
@@ -99,7 +86,6 @@ type t
 val create :
   ?stats:Stats.t ->
   ?guard:guard ->
-  ?engine:engine ->
   ?tracer:Vapor_obs.Tracer.t ->
   ?store:Vapor_store.Store.session ->
   cache:Code_cache.t ->
@@ -190,8 +176,8 @@ val batch_reset : batch -> unit
     cached body — replays that execution's modeled cycle charge instead
     of building its arguments and running.  The memo is honoured only on
     the unguarded fast path (no fault injector, no oracle, no forced
-    probe, [Fast] engine, kernel not quarantined); everywhere else it is
-    ignored.  Every per-element effect still applies — invocation and
+    probe, kernel not quarantined); everywhere else it is ignored.
+    Every per-element effect still applies — invocation and
     hotness accounting, cache LRU touch and hit counters, tier run
     counters and cycle histograms, tracer spans other than the skipped
     stage leaves — so a batched drain's report is byte-identical to
@@ -220,7 +206,6 @@ val hotness_threshold : t -> int
 val cache : t -> Code_cache.t
 val store : t -> Vapor_store.Store.session option
 val stats : t -> Stats.t
-val engine : t -> engine
 val tracer : t -> Vapor_obs.Tracer.t
 
 (** Swap the span sink (recovery replay silences spans with
@@ -242,7 +227,7 @@ val interp_cycles : bytecode_bytes:int -> args:(string * Eval.arg) list -> int
     The runtime state a shard checkpoint captures beyond the code cache:
     per-kernel tier states (hotness, promotion history, quarantine
     flags).  {!restore} replaces the destination's state in place,
-    leaving its configuration (guard, engine, tracer, store session)
+    leaving its configuration (guard, tracer, store session)
     untouched. *)
 
 type snap

@@ -1,6 +1,6 @@
-(* Tests for the fast-path execution engine: the pre-resolved simulator
-   plans against the original Simulator.run, the sharded replay driver
-   against the single-domain service, and the guarded interpreter tier. *)
+(* Tests for the execution path: the pre-resolved simulator plans against
+   the reference Simulator.run, the sharded replay driver against the
+   single-domain service, and the guarded interpreter tier. *)
 
 open Vapor_ir
 module Suite = Vapor_kernels.Suite
@@ -50,10 +50,19 @@ let check_args_bit_equal ctx a b =
 
 (* --- pre-resolved plans == reference simulator ------------------------- *)
 
+(* Every plan the JIT can build: each registry target as [Target.resolve]
+   pins it (the late-bound "sve" at its default length), plus SVE at its
+   two other lengths. *)
+let plan_targets =
+  List.map Target.resolve Vapor_targets.Scalar_target.all
+  @ List.map
+      (fun vl -> Target.resolve ~vl Vapor_targets.Sve.target)
+      [ 16; 64 ]
+
 let plan_sweep_case () =
-  (* Every kernel x target x profile: the plan-driven [Exec.run] must
-     report the same cycles and instructions as the pre-plan
-     [Exec.run_reference], and leave bit-identical buffers. *)
+  (* Every kernel x plan target x profile x scale: the plan-driven
+     [Exec.run] must report the same cycles and instructions as the
+     reference [Exec.run_reference], and leave bit-identical buffers. *)
   List.iter
     (fun (entry : Suite.entry) ->
       let vk = bytecode entry in
@@ -61,96 +70,118 @@ let plan_sweep_case () =
         (fun (target : Target.t) ->
           List.iter
             (fun (profile : Profile.t) ->
-              let ctx =
-                Printf.sprintf "%s/%s/%s" entry.Suite.name
-                  target.Target.name profile.Profile.name
-              in
               let compiled = Compile.compile ~target ~profile vk in
-              let fast_args = entry.Suite.args ~scale:1 in
-              let ref_args = copy_args fast_args in
-              let rr = Exec.run_reference target compiled ~args:ref_args in
-              let rf = Exec.run target compiled ~args:fast_args in
-              check_int (ctx ^ ": cycles") rr.Exec.cycles rf.Exec.cycles;
-              check_int (ctx ^ ": instructions") rr.Exec.instructions
-                rf.Exec.instructions;
-              check_args_bit_equal ctx ref_args fast_args)
+              List.iter
+                (fun scale ->
+                  let ctx =
+                    Printf.sprintf "%s/%s/%s/x%d" entry.Suite.name
+                      target.Target.name profile.Profile.name scale
+                  in
+                  let fast_args = entry.Suite.args ~scale in
+                  let ref_args = copy_args fast_args in
+                  let rr = Exec.run_reference target compiled ~args:ref_args in
+                  let rf = Exec.run target compiled ~args:fast_args in
+                  check_int (ctx ^ ": cycles") rr.Exec.cycles rf.Exec.cycles;
+                  check_int (ctx ^ ": instructions") rr.Exec.instructions
+                    rf.Exec.instructions;
+                  check_args_bit_equal ctx ref_args fast_args)
+                [ 1; 2 ])
             [ Profile.mono; Profile.gcc4cli ])
-        Vapor_targets.Scalar_target.all)
+        plan_targets)
     Suite.all
 
-(* --- replay: fast engine and shards are report-identical ---------------- *)
+let foreign_target_case () =
+  (* A body runs only on its own plan: the target it was compiled for, or
+     a late-bound target that resolves to it.  Any other target is
+     rejected before memory is laid out — never simulated by a second
+     engine — and [run_checked] reports it as a plan error with the
+     caller's buffers untouched. *)
+  let entry = Suite.find "saxpy_fp" in
+  let vk = bytecode entry in
+  let rejected ctx (target : Target.t) compiled =
+    let args = entry.Suite.args ~scale:1 in
+    let before = copy_args args in
+    (match Exec.run target compiled ~args with
+    | _ -> fail (ctx ^ ": Exec.run accepted a foreign target")
+    | exception Invalid_argument _ -> ());
+    (match Exec.run_checked target compiled ~args with
+    | Ok _ -> fail (ctx ^ ": run_checked accepted a foreign target")
+    | Error { Exec.ee_stage = `Plan; _ } -> ()
+    | Error { Exec.ee_stage = `Simulate; ee_reason } ->
+      fail (ctx ^ ": simulated, then faulted: " ^ ee_reason));
+    check_args_bit_equal (ctx ^ ": buffers untouched") before args
+  in
+  let on_sse =
+    Compile.compile ~target:Vapor_targets.Sse.target ~profile:Profile.gcc4cli
+      vk
+  in
+  rejected "sse body on avx" Vapor_targets.Avx.target on_sse;
+  rejected "sse body on scalar" (Vapor_targets.Scalar_target.find "scalar")
+    on_sse;
+  let sve = Vapor_targets.Sve.target in
+  let on_sve128 =
+    Compile.compile ~target:(Target.resolve ~vl:16 sve)
+      ~profile:Profile.gcc4cli vk
+  in
+  rejected "sve128 body on sve (sve256)" sve on_sve128;
+  (* The late-bound spelling runs the plan it resolves to. *)
+  let on_sve = Compile.compile ~target:sve ~profile:Profile.gcc4cli vk in
+  let late = entry.Suite.args ~scale:1 in
+  let pinned = copy_args late in
+  let rl = Exec.run sve on_sve ~args:late in
+  let rp = Exec.run (Target.resolve sve) on_sve ~args:pinned in
+  check_int "sve = sve256: cycles" rp.Exec.cycles rl.Exec.cycles;
+  check_args_bit_equal "sve = sve256" pinned late
+
+(* --- replay: shards are report-identical -------------------------------- *)
 
 let replay_trace () = Trace.standard ~length:300 ~n_targets:1 ()
 
-let replay_cfg engine =
-  {
-    (Service.default_config ~targets:[ Vapor_targets.Sse.target ]) with
-    Service.cfg_engine = engine;
-  }
-
-let replay_engine_equiv_case () =
-  (* The fast engine must not be observable in the report: byte-identical
-     output to the reference engine over a standard trace. *)
-  let trace = replay_trace () in
-  let r_ref =
-    Service.report_to_string (Service.replay (replay_cfg Tiered.Reference) trace)
-  in
-  let r_fast =
-    Service.report_to_string (Service.replay (replay_cfg Tiered.Fast) trace)
-  in
-  check_string "fast report == reference report" r_ref r_fast
+let replay_cfg = Service.default_config ~targets:[ Vapor_targets.Sse.target ]
 
 let replay_domains_case () =
   (* Sharded replay must merge back to the same report for any domain
      count — the determinism contract behind [serve-replay --domains N]. *)
   let trace = replay_trace () in
-  let cfg = replay_cfg Tiered.Fast in
   let base =
-    Service.report_to_string (Service.replay ~domains:1 cfg trace)
+    Service.report_to_string (Service.replay ~domains:1 replay_cfg trace)
   in
   List.iter
     (fun d ->
       let r =
-        Service.report_to_string (Service.replay ~domains:d cfg trace)
+        Service.report_to_string (Service.replay ~domains:d replay_cfg trace)
       in
       check_string (Printf.sprintf "domains=%d report identical" d) base r)
     [ 2; 4 ]
 
-let interp_chaos_cfg engine =
-  {
-    (replay_cfg engine) with
-    Service.cfg_hotness = 1000;
-    cfg_guard =
-      {
-        Tiered.g_oracle = Some Tiered.oracle_always;
-        g_faults =
-          Some
-            (Faults.make
-               {
-                 (Faults.chaos_spec ~seed:1) with
-                 Faults.f_corrupt_rate = 0.2;
-               });
-        g_retry_budget = 3;
-      };
-  }
-
-let interp_engine_free_case () =
-  (* The interpreter tier runs Veval whichever engine is selected, so a
-     guarded replay that never leaves it — corruption draws, oracle
-     checks and quarantines included — prints the same report and
-     counters on both engines. *)
+let interp_chaos_case () =
+  (* A guarded replay whose hotness threshold is never reached stays in
+     the interpreter tier, and its corruption draws, oracle checks and
+     quarantines all happen there. *)
   let trace = Trace.standard ~length:150 ~n_targets:1 () in
-  let run engine =
-    let rp = Service.replay (interp_chaos_cfg engine) trace in
-    rp, Service.report_to_string rp ^ Stats.to_table rp.Service.rp_stats
+  let cfg =
+    {
+      replay_cfg with
+      Service.cfg_hotness = 1000;
+      cfg_guard =
+        {
+          Tiered.g_oracle = Some Tiered.oracle_always;
+          g_faults =
+            Some
+              (Faults.make
+                 {
+                   (Faults.chaos_spec ~seed:1) with
+                   Faults.f_corrupt_rate = 0.2;
+                 });
+          g_retry_budget = 3;
+        };
+    }
   in
-  let rp, r_fast = run Tiered.Fast in
-  let _, r_ref = run Tiered.Reference in
+  let rp = Service.replay cfg trace in
   check_int "every event interpreted" rp.Service.rp_invocations
     rp.Service.rp_interp_invocations;
   check_bool "corruptions drawn" true (rp.Service.rp_corrupted_bodies > 0);
-  check_bool "corruptions quarantined" true (rp.Service.rp_quarantines > 0);
-  check_string "reference report == fast report" r_ref r_fast
+  check_bool "corruptions quarantined" true (rp.Service.rp_quarantines > 0)
 
 (* --- guarded interplay: corrupted interpreter results are quarantined --- *)
 
@@ -173,8 +204,7 @@ let corrupt_interp_quarantine_case () =
     }
   in
   let tiered =
-    Tiered.create ~stats:st ~guard ~engine:Tiered.Fast ~cache
-      ~hotness_threshold:2 ()
+    Tiered.create ~stats:st ~guard ~cache ~hotness_threshold:2 ()
   in
   let fast_args = entry.Suite.args ~scale:1 in
   let ref_args = copy_args fast_args in
@@ -282,14 +312,14 @@ let () =
         [
           Alcotest.test_case "plans match reference simulator" `Quick
             plan_sweep_case;
-          Alcotest.test_case "fast replay report-identical" `Quick
-            replay_engine_equiv_case;
+          Alcotest.test_case "foreign target rejected" `Quick
+            foreign_target_case;
           Alcotest.test_case "domains 1/2/4 reports identical" `Quick
             replay_domains_case;
           Alcotest.test_case "corrupt interpreter result quarantined" `Quick
             corrupt_interp_quarantine_case;
-          Alcotest.test_case "interpreter tier engine-independent" `Quick
-            interp_engine_free_case;
+          Alcotest.test_case "guarded chaos replay stays interpreted" `Quick
+            interp_chaos_case;
         ] );
       ( "interp",
         [

@@ -9,6 +9,7 @@ module Tracer = Vapor_obs.Tracer
 module Stage = Vapor_obs.Stage
 module Json = Vapor_obs.Json
 module Store = Vapor_store.Store
+module Exec = Vapor_harness.Exec
 
 type config = {
   cfg_targets : Target.t list;
@@ -137,6 +138,38 @@ type event_record = {
 
 (* --- session pools ----------------------------------------------------- *)
 
+(* A serving slot's target as configured, resolved once (a late-bound
+   "sve" serves as its pinned spelling) together with its labeled-counter
+   names: built when the shard's target array is and on retarget, never
+   per event. *)
+type slot = {
+  sl_given : Target.t;  (* as configured: span attributes, retarget match *)
+  sl_target : Target.t;  (* resolved: what the runtime keys and runs *)
+  sl_invocations : string;
+  sl_jit_runs : string;
+  sl_interp_runs : string;
+}
+
+let slot_of (given : Target.t) =
+  let target = Target.resolve given in
+  let base = "target." ^ target.Target.name in
+  {
+    sl_given = given;
+    sl_target = target;
+    sl_invocations = base ^ ".invocations";
+    sl_jit_runs = base ^ ".jit_runs";
+    sl_interp_runs = base ^ ".interp_runs";
+  }
+
+(* One (kernel, scale)'s operands: the pristine set, built on first use
+   and never handed out, and its frames, one per stack size a JIT body
+   needed (newest first).  Both are deterministic, so no snapshot needs
+   to carry them. *)
+type operand_set = {
+  os_args : (string * Vapor_ir.Eval.arg) list;
+  mutable os_frames : (int * Exec.frame) list;
+}
+
 (* One fully private replay session: its own metrics registry, code
    cache, tiered runtime, store session, tracer, bytecode table, target
    array, and trigger state.  Nothing here is shared with any other
@@ -155,13 +188,11 @@ type shard = {
   sh_guard : Tiered.guard;
   sh_table :
     (string, Suite.entry * Vapor_vecir.Bytecode.vkernel * Digest.t) Hashtbl.t;
-  sh_targets : Target.t array;
+  sh_targets : slot array;
   (* one latch per [cfg_retargets] entry *)
   sh_retargeted : bool array;
   mutable sh_dropped : bool;
-  (* Pristine operands per (kernel, scale), built on first use and never
-     written: deterministic values no snapshot needs to carry. *)
-  sh_operands : (string * int, (string * Vapor_ir.Eval.arg) list) Hashtbl.t;
+  sh_operands : (string * int, operand_set) Hashtbl.t;
 }
 
 type pool = {
@@ -225,7 +256,7 @@ let pool_create ?(tracer = Tracer.disabled) ?(shards = 1) (cfg : config)
       sh_tracer;
       sh_guard = guard;
       sh_table = Hashtbl.copy table;
-      sh_targets = Array.of_list cfg.cfg_targets;
+      sh_targets = Array.of_list (List.map slot_of cfg.cfg_targets);
       sh_retargeted = Array.make (List.length cfg.cfg_retargets) false;
       sh_dropped = false;
       sh_operands = Hashtbl.create 16;
@@ -302,9 +333,9 @@ let fire_triggers pool ~shard (ev : Trace.event) =
     | Some ss -> Store.defer_invalidate ss ~from_target:from_t.Target.name
     | None -> ());
     Array.iteri
-      (fun i t ->
-        if String.equal t.Target.name from_t.Target.name then
-          sh.sh_targets.(i) <- to_t)
+      (fun i sl ->
+        if String.equal sl.sl_given.Target.name from_t.Target.name then
+          sh.sh_targets.(i) <- slot_of to_t)
       sh.sh_targets
   in
   List.iteri
@@ -323,6 +354,7 @@ let fire_triggers pool ~shard (ev : Trace.event) =
     fired := true;
     let simd =
       Array.to_list sh.sh_targets
+      |> List.map (fun sl -> sl.sl_given)
       |> List.filter Target.has_simd
       |> List.sort_uniq (fun a b -> compare a.Target.name b.Target.name)
     in
@@ -335,36 +367,52 @@ let fire_triggers pool ~shard (ev : Trace.event) =
    journal-replay paths so recovery replay reproduces them exactly.  The
    label uses the RESOLVED name (a late-bound "sve" serves as its pinned
    spelling). *)
-let note_target_run sh cfg ~(target : Target.t) (r : Tiered.run) =
+let note_target_run sh cfg sl (r : Tiered.run) =
   if cfg.cfg_label_targets then begin
-    let base = "target." ^ (Target.resolve target).Target.name in
-    Stats.incr sh.sh_stats (base ^ ".invocations");
+    Stats.incr sh.sh_stats sl.sl_invocations;
     Stats.incr sh.sh_stats
-      (base
-      ^
-      match r.Tiered.r_tier with
-      | Tiered.Jit -> ".jit_runs"
-      | Tiered.Interpreter -> ".interp_runs")
+      (match r.Tiered.r_tier with
+      | Tiered.Jit -> sl.sl_jit_runs
+      | Tiered.Interpreter -> sl.sl_interp_runs)
   end;
   r
 
-(* An event's operands: a copy of the shard's pristine set for (kernel,
-   scale).  The suite's argument builders are pure functions of (kernel,
-   scale) — batch elision relies on that too — so each shard builds a set
-   once; the pristine set never reaches a kernel, which writes its
-   operands in place. *)
+(* The shard's operand set for (kernel, scale).  The suite's argument
+   builders are pure functions of (kernel, scale) — batch elision relies
+   on that too — so each shard builds a set once. *)
+let operand_set sh ~kernel ~scale =
+  match Hashtbl.find_opt sh.sh_operands (kernel, scale) with
+  | Some os -> os
+  | None ->
+    let entry, _, _ = Hashtbl.find sh.sh_table kernel in
+    let os = { os_args = entry.Suite.args ~scale; os_frames = [] } in
+    Hashtbl.add sh.sh_operands (kernel, scale) os;
+    os
+
+(* An event's operands: a copy of the pristine set, which never reaches a
+   kernel (kernels write their operands in place). *)
 let shard_operands pool ~shard ~kernel ~scale =
-  let sh = pool.pl_shards.(shard) in
-  let pristine =
-    match Hashtbl.find_opt sh.sh_operands (kernel, scale) with
-    | Some args -> args
-    | None ->
-      let entry, _, _ = Hashtbl.find sh.sh_table kernel in
-      let args = entry.Suite.args ~scale in
-      Hashtbl.add sh.sh_operands (kernel, scale) args;
-      args
+  Tiered.copy_args (operand_set pool.pl_shards.(shard) ~kernel ~scale).os_args
+
+(* The frame a JIT-tier event runs on: the operand set laid out for a
+   body needing [stack_bytes], built on first use.  Serving always lays
+   out with [Layout.aligned_policy], so (kernel, scale, stack bytes) is
+   every input of the layout. *)
+let shard_frame sh ~kernel ~scale stack_bytes =
+  let os = operand_set sh ~kernel ~scale in
+  let rec find = function
+    | (sb, fr) :: rest -> if sb = stack_bytes then fr else find rest
+    | [] ->
+      let fr = Exec.frame ~stack_bytes os.os_args in
+      os.os_frames <- (stack_bytes, fr) :: os.os_frames;
+      fr
   in
-  Tiered.copy_args pristine
+  find os.os_frames
+
+let shard_frames pool ~shard ~kernel ~scale =
+  match Hashtbl.find_opt pool.pl_shards.(shard).sh_operands (kernel, scale) with
+  | Some os -> List.map snd os.os_frames
+  | None -> []
 
 (* The one per-event step.  Triggers (rejuvenation, SIMD drop) fire at
    the first owned event at or past their index, so a shard that does not
@@ -377,21 +425,16 @@ let shard_step ?interp_only ?force_oracle ?discard_store_hit ?batch pool
   let sh = pool.pl_shards.(shard) in
   let cfg = pool.pl_cfg in
   if fire_triggers pool ~shard ev then Option.iter Tiered.batch_reset batch;
-  let _, vk, digest = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
-  let target =
-    sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
-  in
+  let kernel = ev.Trace.ev_kernel and scale = ev.Trace.ev_scale in
+  let _, vk, digest = Hashtbl.find sh.sh_table kernel in
+  let sl = sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets) in
   (* Two events share operands iff they share this signature: the suite's
      argument builders are pure functions of (kernel, scale), and the
      target index picks the compiled body variant. *)
   let memo =
     match batch with
     | None -> None
-    | Some b ->
-      Some
-        ( b,
-          Printf.sprintf "%s/%d/%d" ev.Trace.ev_kernel ev.Trace.ev_target
-            ev.Trace.ev_scale )
+    | Some b -> Some (b, (kernel, ev.Trace.ev_target, scale))
   in
   let tr = Tiered.tracer sh.sh_tiered in
   let invoke () =
@@ -399,18 +442,16 @@ let shard_step ?interp_only ?force_oracle ?discard_store_hit ?batch pool
       Tracer.root_begin tr ~ev:ev.Trace.ev_index ~name:"replay_event"
         [
           "kernel", Tracer.S ev.Trace.ev_kernel;
-          "target", Tracer.S target.Target.name;
+          "target", Tracer.S sl.sl_given.Target.name;
           "scale", Tracer.I ev.Trace.ev_scale;
         ];
     let r =
-      note_target_run sh cfg ~target
-        (Tiered.invoke_lazy ~digest ~label:ev.Trace.ev_kernel ?interp_only
-           ?force_oracle ?discard_store_hit ?memo sh.sh_tiered ~target
-           ~profile:cfg.cfg_profile vk
-           ~args:
-             (lazy
-               (shard_operands pool ~shard ~kernel:ev.Trace.ev_kernel
-                  ~scale:ev.Trace.ev_scale)))
+      note_target_run sh cfg sl
+        (Tiered.invoke_lazy ~digest ~label:kernel ?interp_only ?force_oracle
+           ?discard_store_hit ?memo
+           ~frame:(shard_frame sh ~kernel ~scale)
+           sh.sh_tiered ~target:sl.sl_target ~profile:cfg.cfg_profile vk
+           ~args:(lazy (shard_operands pool ~shard ~kernel ~scale)))
     in
     if Tracer.on tr then
       Tracer.root_end tr
@@ -455,7 +496,7 @@ type shard_snap = {
   sp_cache : Code_cache.snap;
   sp_tiered : Tiered.snap;
   sp_faults : Faults.snap option;
-  sp_targets : Target.t array;
+  sp_targets : slot array;
   sp_retargeted : bool array;
   sp_dropped : bool;
 }

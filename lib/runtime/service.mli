@@ -173,15 +173,34 @@ val shard_step :
   Trace.event ->
   event_record
 
-(** The operands an event of [kernel] at [scale] runs on in [shard]: a
-    fresh copy ({!Tiered.copy_args}) of the shard's pristine set, which
-    is built on first use and never handed out itself. *)
+(** The operands an event of [kernel] at [scale] gets in [shard] when
+    something reads them — the interpreter tier, the differential
+    oracle, the interpreter re-run after an exec fault: a fresh copy
+    ({!Tiered.copy_args}) of the shard's pristine set, which is built on
+    first use and never handed out itself.  A JIT-tier event does not
+    build them: it runs on the set's frame (see {!shard_frames}). *)
 val shard_operands :
   pool ->
   shard:int ->
   kernel:string ->
   scale:int ->
   (string * Vapor_ir.Eval.arg) list
+
+(** The frames the shard's JIT-tier events of [kernel] at [scale] run on,
+    newest first: one per stack size ({!Vapor_harness.Exec.stack_bytes})
+    the bodies that ran needed, each laid out from the pristine set with
+    [Layout.aligned_policy] on first use and kept for the pool's life.
+    An event blits the frame's pristine image into its working image and
+    runs there; the pristine image stays byte-equal to a fresh
+    [Layout.materialize] of the operands.  Like the pristine set, frames
+    are deterministic and stay out of shard snapshots.  [[]] before the
+    first JIT-tier event. *)
+val shard_frames :
+  pool ->
+  shard:int ->
+  kernel:string ->
+  scale:int ->
+  Vapor_harness.Exec.frame list
 
 (** The shard's private fault injector ([None] when unguarded, and when
     a multi-shard pool was built from an unguarded config).  The serving

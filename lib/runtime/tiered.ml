@@ -198,14 +198,17 @@ let quarantine t (s : kstate) =
   end
 
 (* The duplicate-operand elision memo of one batch of co-dispatched
-   invocations: per tier, caller signature -> the modeled cycle charge of
-   the execution that already ran those operands.  The serving layer's
-   workload builders construct arguments deterministically from (kernel,
-   scale) with no per-event input, so co-batched elements sharing a
-   signature execute the same pure function over the same operands. *)
+   invocations: per tier, caller signature (kernel, target index, scale)
+   -> the modeled cycle charge of the execution that already ran those
+   operands.  The serving layer's workload builders construct arguments
+   deterministically from (kernel, scale) with no per-event input, so
+   co-batched elements sharing a signature execute the same pure function
+   over the same operands. *)
+type signature = string * int * int
+
 type batch = {
-  bt_interp : (string, int) Hashtbl.t;
-  bt_jit : (string, int) Hashtbl.t;
+  bt_interp : (signature, int) Hashtbl.t;
+  bt_jit : (signature, int) Hashtbl.t;
 }
 
 let batch_create () =
@@ -501,9 +504,13 @@ let jit_fetch_slow ?(discard_store_hit = false) t (s : kstate)
 
 (* The JIT-tier arm of an invocation, given the fetched body.  A batch
    [memo] replays the charge of a co-batched element that already ran
-   these operands on this cached body, exactly as in {!interp_run}. *)
-let jit_run ?memo t (s : kstate) ~(target : Target.t) ~force_oracle vk ~args
-    fetched =
+   these operands on this cached body, exactly as in {!interp_run}.  With
+   a [frame] the body runs on it and [args] is forced only for the
+   oracle, which reads the results back into it, and for the
+   interpreter fallback; without one it runs a one-shot frame of [args]
+   and always reads back. *)
+let jit_run ?memo ?frame t (s : kstate) ~(target : Target.t) ~force_oracle vk
+    ~args fetched =
   let tr = t.tracer in
   match fetched with
   | Error ((_err : Compile.lower_error), backoff_us) ->
@@ -556,9 +563,14 @@ let jit_run ?memo t (s : kstate) ~(target : Target.t) ~force_oracle vk ~args
           match memoized with
           | Some cycles -> Ok cycles
           | None -> (
-            match Exec.run_checked target compiled ~args:(Lazy.force args) with
-            | Ok ok -> Ok ok.Exec.cycles
-            | Error ee -> Error ee)
+            let ran =
+              match frame with
+              | Some frame_for ->
+                let into = if check then Some (Lazy.force args) else None in
+                Exec.run_frame ?into target compiled frame_for
+              | None -> Exec.run_checked target compiled ~args:(Lazy.force args)
+            in
+            Result.map (fun (ok : Exec.run_result) -> ok.Exec.cycles) ran)
         in
         (if Tracer.on tr then
            match r with
@@ -574,9 +586,10 @@ let jit_run ?memo t (s : kstate) ~(target : Target.t) ~force_oracle vk ~args
       in
       match exec_result with
       | Error _ee ->
-        (* The body faulted mid-simulation; caller buffers are untouched
-           (read-back only happens on a clean finish), so the interpreter
-           re-runs the invocation from the original inputs. *)
+        (* The body faulted mid-simulation; caller buffers and the
+           frame's pristine image are untouched (read-back only happens on
+           a clean finish), so the interpreter re-runs the invocation from
+           the original inputs. *)
         Stats.incr t.st "guard.exec_faults";
         quarantine t s;
         let cycles, _ = interp_run t s ~target vk ~args in
@@ -658,7 +671,7 @@ let resolve ?digest ?label t ~(target : Target.t) ~(profile : Profile.t)
    probe, kernel not quarantined), so guard schedules, fault draws and
    quarantine transitions stay those of single dispatch. *)
 let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
-    ?(discard_store_hit = false) ?memo t ~(target : Target.t)
+    ?(discard_store_hit = false) ?memo ?frame t ~(target : Target.t)
     ~(profile : Profile.t) (vk : B.vkernel) ~args =
   (* Pin late-bound targets to a concrete vector length before keying any
      cache: "sve" and its resolved spelling must not alias distinct
@@ -698,7 +711,7 @@ let invoke_lazy ?digest ?label ?(interp_only = false) ?(force_oracle = false)
       | Some compiled -> Ok (compiled, Code_cache.Hit, 0.0, false)
       | None -> jit_fetch_slow ~discard_store_hit t s ~target ~profile vk
     in
-    jit_run ?memo t s ~target ~force_oracle vk ~args fetched
+    jit_run ?memo ?frame t s ~target ~force_oracle vk ~args fetched
 
 let invoke ?digest ?label ?interp_only ?force_oracle ?discard_store_hit t
     ~target ~profile vk ~args =

@@ -119,7 +119,8 @@ type run = {
 
 (** Execute one invocation, choosing the tier; array argument buffers are
     mutated in place exactly as {!Vapor_harness.Exec.run} would.  This is
-    {!invoke_lazy} with the arguments already built and no batch memo.
+    {!invoke_lazy} with the arguments already built, no batch memo and
+    no frame.
 
     [interp_only] (default false) forces the interpreter path for this
     invocation without demoting the kernel — promotion bookkeeping still
@@ -166,8 +167,18 @@ val batch_create : unit -> batch
 val batch_reset : batch -> unit
 
 (** The one invocation body: cache lookup, then store probe or compile,
-    then execution, with every accounting effect of {!invoke}.  [args]
-    is forced only when the invocation actually executes.
+    then execution, with every accounting effect of {!invoke}.
+
+    [frame] is where a JIT-tier run executes: given the stack bytes the
+    fetched body needs ({!Vapor_harness.Exec.stack_bytes}), it returns a
+    frame of the same operands [args] would build.  The body runs on the
+    frame ({!Vapor_harness.Exec.run_frame}), and the results are read
+    back into [args] only when the differential oracle checks this run.
+    [args] is forced only for the interpreter tier, the oracle's two
+    copies, and the interpreter re-run after an exec fault; on the
+    unguarded JIT path it is never built.  Without [frame], a JIT-tier
+    run forces [args] and runs a one-shot frame of it, reading the
+    results back as {!invoke} promises.
 
     [memo = (batch, signature)] enables duplicate-operand elision: the
     caller's signature (kernel, target index, scale) names operands that
@@ -188,7 +199,8 @@ val invoke_lazy :
   ?interp_only:bool ->
   ?force_oracle:bool ->
   ?discard_store_hit:bool ->
-  ?memo:batch * string ->
+  ?memo:batch * (string * int * int) ->
+  ?frame:(int -> Vapor_harness.Exec.frame) ->
   t ->
   target:Target.t ->
   profile:Profile.t ->

@@ -310,6 +310,160 @@ let retry_exhausted_case () =
   ignore (Veval.run vk ~mode:(veval_mode sse) ~args:ref_args);
   check_args_bit_equal "exhausted-retry output" ref_args args
 
+(* --- frames: the served path's memory images ---------------------------- *)
+
+let fresh_run target compiled (entry : Suite.entry) ~scale =
+  let args = entry.Suite.args ~scale in
+  let r = Exec.run target compiled ~args in
+  r, args
+
+(* Every kernel on every target at scales 1 and 2, two events each,
+   served from a shard's frames with the oracle checking every JIT run:
+   the oracle reads each run's image back and compares it with Veval, so
+   a frame that starts from anything but the operands shows up as a
+   mismatch.  Afterwards each frame the shard kept must still run to the
+   outputs and cycles of a fresh [Exec.run] on fresh operands. *)
+let frame_oracle_sweep_case () =
+  List.iter
+    (fun (target : Target.t) ->
+      let cfg =
+        {
+          (Service.default_config ~targets:[ target ]) with
+          Service.cfg_hotness = 0;
+          cfg_guard =
+            {
+              Tiered.g_oracle = Some Tiered.oracle_always;
+              g_faults = None;
+              g_retry_budget = 3;
+            };
+        }
+      in
+      let pool = Service.pool_create cfg ~kernels:Suite.names in
+      let n = ref 0 in
+      List.iter
+        (fun kernel ->
+          for scale = 1 to 2 do
+            for _ = 1 to 2 do
+              let r =
+                Service.shard_step pool ~shard:0
+                  { Trace.ev_index = !n; ev_kernel = kernel; ev_target = 0;
+                    ev_scale = scale }
+              in
+              incr n;
+              if r.Service.er_tier <> Tiered.Jit
+                 || r.Service.er_outcome <> Tiered.Clean
+              then
+                fail
+                  (Printf.sprintf "%s on %s at scale %d: %s on the %s tier"
+                     kernel target.Target.name scale
+                     (Tiered.run_outcome_to_string r.Service.er_outcome)
+                     (Tiered.tier_to_string r.Service.er_tier))
+            done
+          done)
+        Suite.names;
+      let rp = Service.pool_report pool ~trace_desc:"frames" ~records:[] in
+      let ctx what = Printf.sprintf "%s on %s" what target.Target.name in
+      check_int (ctx "oracle checks") !n rp.Service.rp_oracle_checks;
+      check_int (ctx "mismatches") 0 rp.Service.rp_oracle_mismatches;
+      check_int (ctx "quarantines") 0 rp.Service.rp_quarantines;
+      List.iter
+        (fun (entry : Suite.entry) ->
+          let vk = bytecode entry.Suite.name in
+          let compiled =
+            Compile.compile ~target ~profile:cfg.Service.cfg_profile vk
+          in
+          for scale = 1 to 2 do
+            let ctx =
+              Printf.sprintf "%s on %s at scale %d" entry.Suite.name
+                target.Target.name scale
+            in
+            match
+              Service.shard_frames pool ~shard:0 ~kernel:entry.Suite.name
+                ~scale
+            with
+            | [ fr ] -> (
+              let expect, expect_args = fresh_run target compiled entry ~scale in
+              let got_args = entry.Suite.args ~scale in
+              match
+                Exec.run_frame ~into:got_args target compiled (fun _ -> fr)
+              with
+              | Error e -> fail (ctx ^ ": " ^ Exec.exec_error_to_string e)
+              | Ok got ->
+                check_int (ctx ^ ": cycles") expect.Exec.cycles got.Exec.cycles;
+                check_args_bit_equal ctx expect_args got_args)
+            | frs ->
+              fail (Printf.sprintf "%s: %d frames" ctx (List.length frs))
+          done)
+        Suite.all)
+    Vapor_targets.Scalar_target.all
+
+(* A body that stores into an operand and then faults: saxpy_fp's [y]
+   loop followed by a one-byte load at the first address past the
+   layout.  The working image is exactly the layout's length, so the load
+   faults as in the reference; the fault must leave the frame's pristine
+   image as it was, the interpreter must answer, and the frame's next
+   run must start from the operands again. *)
+let frame_fault_case () =
+  let entry = Suite.find "saxpy_fp" in
+  let vk = bytecode "saxpy_fp" in
+  let compiled = Compile.compile ~target:sse ~profile:Profile.mono vk in
+  let stack_bytes = Exec.stack_bytes compiled in
+  let faulting =
+    let f = compiled.Compile.mfun in
+    let past =
+      { (Vapor_machine.Minstr.plain_addr "$stack") with
+        Vapor_machine.Minstr.disp = stack_bytes }
+    in
+    let f =
+      {
+        f with
+        Vapor_machine.Mfun.instrs =
+          Array.append f.Vapor_machine.Mfun.instrs
+            [| Vapor_machine.Minstr.Load
+                 (Src_type.U8, Vapor_machine.Minstr.gpr 0, past) |];
+      }
+    in
+    { compiled with
+      Compile.mfun = f;
+      plan = Vapor_machine.Simulator.prepare ~target:sse f }
+  in
+  let scale = 2 in
+  let fr = Exec.frame ~stack_bytes (entry.Suite.args ~scale) in
+  let frame_for sb =
+    check_int "stack bytes asked for" stack_bytes sb;
+    fr
+  in
+  let pristine = Exec.frame_pristine fr in
+  let tiered, st = guarded () in
+  Cache.insert (Tiered.cache tiered)
+    (cache_key vk sse Profile.mono)
+    vk ~vk_bytes:(Vapor_vecir.Encode.size vk) Profile.mono faulting;
+  let args = entry.Suite.args ~scale in
+  let r =
+    Tiered.invoke_lazy tiered ~target:sse ~profile:Profile.mono vk
+      ~frame:frame_for ~args:(Lazy.from_val args)
+  in
+  check_bool "the interpreter answered" true
+    (r.Tiered.r_tier = Tiered.Interpreter
+    && r.Tiered.r_outcome = Tiered.Exec_fault);
+  check_int "exec fault counted" 1 (Stats.counter st "guard.exec_faults");
+  let ref_args = entry.Suite.args ~scale in
+  ignore (Veval.run vk ~mode:(veval_mode sse) ~args:ref_args);
+  check_args_bit_equal "the interpreter's answer" ref_args args;
+  Alcotest.(check string) "pristine image untouched by the fault" pristine
+    (Exec.frame_pristine fr);
+  let expect, expect_args = fresh_run sse compiled entry ~scale in
+  let got_args = entry.Suite.args ~scale in
+  match Exec.run_frame ~into:got_args sse compiled frame_for with
+  | Error e -> fail ("next run: " ^ Exec.exec_error_to_string e)
+  | Ok got ->
+    check_int "next run's cycles" expect.Exec.cycles got.Exec.cycles;
+    check_args_bit_equal "next run matches a fresh Exec.run" expect_args
+      got_args;
+    (* [Exec.run] shares the execution body; the interpreter does not *)
+    check_args_bit_equal "next run starts from the operands" ref_args
+      got_args
+
 (* --- chaos replay end-to-end ------------------------------------------- *)
 
 let chaos_config ~seed =
@@ -441,6 +595,13 @@ let () =
             forced_scalar_runs_case;
           Alcotest.test_case "exec fault is typed and harmless" `Quick
             run_checked_fault_case;
+        ] );
+      ( "frames",
+        [
+          Alcotest.test_case "served path matches one-shot" `Quick
+            frame_oracle_sweep_case;
+          Alcotest.test_case "fault leaves pristine image" `Quick
+            frame_fault_case;
         ] );
       ( "cache-edges",
         [

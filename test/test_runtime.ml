@@ -388,13 +388,17 @@ let service_rejuvenation_case () =
   check_bool "hit rate survives rejuvenation" true
     (rp.Service.rp_hit_rate > 0.9)
 
-(* A shard builds each kernel's operands once per scale and hands every
-   event a copy.  saxpy_fp writes [y] in place, so a shard that handed an
-   event (or a caller) its pristine buffers would change what every later
-   event of that kernel and scale sees. *)
+(* A shard builds each kernel's operands once per scale: events that read
+   them get a copy, and JIT-tier events run on a frame that blits its
+   pristine image into a working one.  saxpy_fp writes [y] in place, so a
+   shard that handed an event (or a caller) its pristine buffers, or ran
+   a body on its pristine image, would change what every later event of
+   that kernel and scale sees. *)
 let service_operands_case () =
   let pool =
-    Service.pool_create (replay_cfg [ sse ]) ~kernels:[ "saxpy_fp" ]
+    Service.pool_create
+      { (replay_cfg [ sse ]) with Service.cfg_hotness = 0 }
+      ~kernels:[ "saxpy_fp" ]
   in
   let entry = Suite.find "saxpy_fp" in
   let same (n1, a1) (n2, a2) =
@@ -407,10 +411,27 @@ let service_operands_case () =
   in
   for i = 0 to 39 do
     let scale = 1 + (i mod 2) in
-    ignore
-      (Service.shard_step pool ~shard:0
-         { Trace.ev_index = i; ev_kernel = "saxpy_fp"; ev_target = 0;
-           ev_scale = scale });
+    let r =
+      Service.shard_step pool ~shard:0
+        { Trace.ev_index = i; ev_kernel = "saxpy_fp"; ev_target = 0;
+          ev_scale = scale }
+    in
+    check_bool "ran on the JIT tier" true (r.Service.er_tier = Tiered.Jit);
+    (match Service.shard_frames pool ~shard:0 ~kernel:"saxpy_fp" ~scale with
+    | [ fr ] ->
+      let fresh =
+        Vapor_machine.Layout.materialize
+          (Vapor_harness.Exec.frame_layout fr)
+          (Suite.arrays_of_args (entry.Suite.args ~scale))
+      in
+      if not (String.equal (Bytes.to_string fresh)
+                (Vapor_harness.Exec.frame_pristine fr))
+      then
+        fail
+          (Printf.sprintf "after event %d the pristine image differs from a \
+                           fresh one" i)
+    | frs ->
+      fail (Printf.sprintf "%d frames at scale %d" (List.length frs) scale));
     let seen =
       Service.shard_operands pool ~shard:0 ~kernel:"saxpy_fp" ~scale
     in
@@ -423,6 +444,74 @@ let service_operands_case () =
         | _, Eval.Scalar _ -> ())
       seen
   done
+
+(* A JIT-tier event allocates the same at every operand size, and nothing
+   straight into the major heap: it blits its frame's pristine image into
+   the working one and runs the plan, and builds no operands and no
+   memory image.  Words are minor + major - promoted (each word counted
+   once, wherever it was allocated), compared across scales rather than
+   against a count, which moves with the compiler version.  Minor words
+   come from [Gc.minor_words]: on OCaml 5.1.1 the minor count of
+   [Gc.counters] misreads the words allocated since the last minor
+   collection.  Pairs that do not run on the JIT tier (a kernel
+   quarantined on a target) are left out and counted. *)
+let event_alloc_case () =
+  let runs = 16 in
+  let words pool kernel scale =
+    let evs =
+      Array.init (runs + 2) (fun i ->
+          { Trace.ev_index = i; ev_kernel = kernel; ev_target = 0;
+            ev_scale = scale })
+    in
+    let step i = Service.shard_step pool ~shard:0 evs.(i) in
+    (* warm-up: the compile, the operand set and its frame *)
+    ignore (step 0);
+    ignore (step 1);
+    let jit = ref true in
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    for i = 2 to runs + 1 do
+      if (step i).Service.er_tier <> Tiered.Jit then jit := false
+    done;
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+    if !jit then Some (minor1 -. minor0 +. direct, direct) else None
+  in
+  let measured = ref 0 and excluded = ref [] in
+  List.iter
+    (fun (target : Vapor_targets.Target.t) ->
+      let pool =
+        Service.pool_create
+          { (Service.default_config ~targets:[ target ]) with
+            Service.cfg_hotness = 0 }
+          ~kernels:Suite.names
+      in
+      List.iter
+        (fun kernel ->
+          let ctx = Printf.sprintf "%s on %s" kernel target.Vapor_targets.Target.name in
+          match words pool kernel 1, words pool kernel 2 with
+          | Some (w1, d1), Some (w2, d2) ->
+            incr measured;
+            if d1 <> 0.0 || d2 <> 0.0 then
+              fail
+                (Printf.sprintf
+                   "%s: %.0f / %.0f words allocated straight into the major \
+                    heap over %d events at scales 1 / 2"
+                   ctx d1 d2 runs);
+            if w1 <> w2 then
+              fail
+                (Printf.sprintf
+                   "%s: %.0f words over %d events at scale 1, %.0f at scale 2"
+                   ctx w1 runs w2)
+          | _ -> excluded := ctx :: !excluded)
+        Suite.names)
+    Vapor_targets.Scalar_target.all;
+  Printf.printf "%d pairs measured; %d not on the JIT tier, excluded: %s\n"
+    !measured (List.length !excluded)
+    (String.concat ", " (List.rev !excluded));
+  check_bool "most pairs run on the JIT tier" true
+    (!measured > 6 * List.length !excluded)
 
 let () =
   Alcotest.run "runtime"
@@ -460,5 +549,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick service_deterministic_case;
           Alcotest.test_case "rejuvenation" `Quick service_rejuvenation_case;
           Alcotest.test_case "operands are copies" `Quick service_operands_case;
+          Alcotest.test_case "event allocation flat in scale" `Quick
+            event_alloc_case;
         ] );
     ]
